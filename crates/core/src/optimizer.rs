@@ -493,6 +493,23 @@ impl Optimizer {
     }
 }
 
+/// The cheapest way to reach the rows of `info` that satisfy `preds`
+/// (table-local conjuncts): the access-path choice [`Optimizer`] makes for
+/// a single-table SELECT with no required order. UPDATE and DELETE find
+/// their target rows through it.
+pub fn cheapest_access_path(
+    info: &Arc<TableInfo>,
+    preds: &[Expr],
+    model: &CostModel,
+) -> Result<access_path::PathKind> {
+    let (rel_meta, est) = table_meta(info)?;
+    access_path::access_paths(&rel_meta, preds, &est, model)
+        .into_iter()
+        .min_by(|a, b| model.total(a.cost).total_cmp(&model.total(b.cost)))
+        .map(|p| p.kind)
+        .ok_or_else(|| EvoptError::Internal("no access path produced".into()))
+}
+
 /// Convert a catalog table into the access-path inputs.
 fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
     let stats = info.stats();

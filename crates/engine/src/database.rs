@@ -1,6 +1,7 @@
 //! The `Database` facade.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -8,6 +9,8 @@ use evopt_catalog::{compute_stats, AnalyzeConfig, Catalog, TableInfo};
 use evopt_common::{
     lockorder, Column, DataType, EvoptError, Expr, Result, Schema, Tuple, Value, DEFAULT_BATCH_ROWS,
 };
+use evopt_core::access_path::PathKind;
+use evopt_core::optimizer::cheapest_access_path;
 use evopt_core::physical::PhysicalPlan;
 use evopt_core::verify::{self, VerifyPhase};
 use evopt_core::{CostModel, Optimizer, OptimizerConfig, Strategy};
@@ -24,8 +27,8 @@ use evopt_sql::ast::{AstExpr, Statement};
 use evopt_sql::{bind_select, parse};
 use evopt_storage::{
     BufferPool, CatalogImage, ColumnImage, DiskBackend, DiskManager, FaultConfig, FaultInjector,
-    FlushGate, IndexImage, IoSnapshot, Lsn, PolicyKind, PoolSnapshot, RecoveryInfo, TableImage,
-    Wal,
+    FlushGate, IndexImage, IoSnapshot, Lsn, PolicyKind, PoolSnapshot, RecoveryInfo, Rid,
+    TableImage, Wal, PAGE_SIZE,
 };
 // Non-poisoning mutex (the vendored stand-in recovers poisoned state via
 // `into_inner`): a panicking config writer can't brick later queries, and
@@ -296,6 +299,8 @@ pub struct Database {
     /// re-snapshot only after DDL/ANALYZE actually changed something. Rank
     /// [`lockorder::SNAPSHOT_CACHE`].
     snapshot_cache: Mutex<Option<(u64, Arc<Catalog>)>>,
+    /// Claimed by the one session running an automatic checkpoint.
+    checkpointing: AtomicBool,
     next_session_id: AtomicU64,
     /// Per-instance metrics registry; `None` when `config.metrics` is off.
     /// Engine-site recordings are mirrored into [`evopt_obs::global`] so
@@ -450,6 +455,7 @@ impl Database {
             defaults: Mutex::new(config.session()),
             commit_lock: Mutex::new(()),
             snapshot_cache: Mutex::new(None),
+            checkpointing: AtomicBool::new(false),
             next_session_id: AtomicU64::new(1),
         }
     }
@@ -510,12 +516,42 @@ impl Database {
     /// Make a staged commit durable, off the commit lock. Concurrent
     /// committers coalesce: whichever session syncs first covers every
     /// commit appended before it, and the rest return without touching the
-    /// disk (`WalStats::coalesced_syncs`).
+    /// disk (`WalStats::coalesced_syncs`). Once durable, the statement may
+    /// trigger an automatic checkpoint.
     fn wal_sync(&self, pending: Option<Lsn>) -> Result<()> {
         match (&self.wal, pending) {
-            (Some(wal), Some(lsn)) => wal.sync_through(lsn),
+            (Some(wal), Some(lsn)) => {
+                wal.sync_through(lsn)?;
+                self.auto_checkpoint(wal);
+                Ok(())
+            }
             _ => Ok(()),
         }
+    }
+
+    /// Checkpoint once the log holds one buffer pool's worth of bytes
+    /// (`capacity × PAGE_SIZE`). Recovery then never scans more log than
+    /// the pool can hold, and the log never outgrows the pages it covers.
+    /// Runs with no lock held; one session wins the claim and the others
+    /// carry on. The caller's commit is already durable, so a failed
+    /// checkpoint is not the statement's error: the WAL counts it
+    /// (`WalStats::checkpoint_failures`) and the next trigger retries.
+    fn auto_checkpoint(&self, wal: &Wal) {
+        let bound = (self.pool.capacity() * PAGE_SIZE) as u64;
+        if wal.log_bytes() < bound
+            || self
+                .checkpointing
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+        {
+            return;
+        }
+        // A sibling may have cut the log between the size check and the
+        // claim.
+        if wal.log_bytes() >= bound {
+            let _ = self.checkpoint();
+        }
+        self.checkpointing.store(false, Ordering::SeqCst);
     }
 
     /// Snapshot the live catalog as the WAL's logical image.
@@ -1034,6 +1070,7 @@ impl Database {
             snap.wal_records_written = w.records_written;
             snap.wal_bytes = w.bytes_written;
             snap.checkpoints = w.checkpoints;
+            snap.checkpoint_failures = w.checkpoint_failures;
             snap.recoveries = w.recoveries;
             snap.recovery_replayed_records = w.replayed_records;
             snap.wal_coalesced_syncs = w.coalesced_syncs;
@@ -1166,6 +1203,66 @@ impl Database {
             }
         }
         Ok(())
+    }
+
+    /// The rows an UPDATE or DELETE acts on, with their rids, found along
+    /// the cheapest access path the predicate allows — the choice a
+    /// single-table SELECT with the same WHERE clause gets. An index path
+    /// only narrows the candidates: every fetched row is still tested
+    /// against the whole predicate, so the victims are exactly the rows a
+    /// sequential scan would match. Without a sargable conjunct (or
+    /// without a predicate) the heap is scanned.
+    fn dml_victims(
+        ctx: &StatementCtx,
+        info: &Arc<TableInfo>,
+        predicate: Option<&AstExpr>,
+    ) -> Result<Vec<(Rid, Tuple)>> {
+        let predicate = match predicate {
+            Some(p) => Some(bind_row_expr(p, &info.schema)?),
+            None => None,
+        };
+        let path = match &predicate {
+            Some(p) => {
+                cheapest_access_path(info, &p.split_conjuncts(), &ctx.cfg.optimizer.cost_model)?
+            }
+            None => PathKind::SeqScan { filter: None },
+        };
+        let hit = |tuple: &Tuple| match &predicate {
+            Some(p) => p.eval_predicate(tuple),
+            None => Ok(true),
+        };
+        let mut victims = Vec::new();
+        match path {
+            PathKind::IndexScan { index, range, .. }
+                if !matches!(
+                    (&range.low, &range.high),
+                    (Bound::Unbounded, Bound::Unbounded)
+                ) =>
+            {
+                let idx = info
+                    .indexes()
+                    .into_iter()
+                    .find(|i| i.name == index)
+                    .ok_or_else(|| EvoptError::Internal(format!("index '{index}' vanished")))?;
+                for item in idx.btree.range(range.low.as_ref(), range.high.as_ref())? {
+                    let (_, rid) = item?;
+                    if let Some(tuple) = info.heap.get(rid)? {
+                        if hit(&tuple)? {
+                            victims.push((rid, tuple));
+                        }
+                    }
+                }
+            }
+            _ => {
+                for item in info.heap.scan() {
+                    let (rid, tuple) = item?;
+                    if hit(&tuple)? {
+                        victims.push((rid, tuple));
+                    }
+                }
+            }
+        }
+        Ok(victims)
     }
 
     /// Whether a statement mutates the database (and therefore must hold
@@ -1439,21 +1536,7 @@ impl Database {
             }
             Statement::Delete { table, predicate } => {
                 let info = self.catalog.table(table)?;
-                let predicate = match predicate {
-                    Some(p) => Some(bind_row_expr(p, &info.schema)?),
-                    None => None,
-                };
-                let mut victims = Vec::new();
-                for item in info.heap.scan() {
-                    let (rid, tuple) = item?;
-                    let keep = match &predicate {
-                        Some(p) => !p.eval_predicate(&tuple)?,
-                        None => false,
-                    };
-                    if !keep {
-                        victims.push((rid, tuple));
-                    }
-                }
+                let victims = Self::dml_victims(ctx, &info, predicate.as_ref())?;
                 for (rid, tuple) in &victims {
                     info.heap.delete(*rid)?;
                     for idx in info.indexes() {
@@ -1471,10 +1554,6 @@ impl Database {
                 predicate,
             } => {
                 let info = self.catalog.table(table)?;
-                let predicate = match predicate {
-                    Some(p) => Some(bind_row_expr(p, &info.schema)?),
-                    None => None,
-                };
                 let mut assignments = Vec::with_capacity(sets.len());
                 for (col, value) in sets {
                     let ordinal = info.schema.resolve(None, col)?;
@@ -1482,18 +1561,8 @@ impl Database {
                 }
                 // Two phases: collect matches first, then rewrite — so the
                 // new rows are never re-visited by the same scan.
-                let mut matches = Vec::new();
-                for item in info.heap.scan() {
-                    let (rid, tuple) = item?;
-                    let hit = match &predicate {
-                        Some(p) => p.eval_predicate(&tuple)?,
-                        None => true,
-                    };
-                    if hit {
-                        matches.push((rid, tuple));
-                    }
-                }
-                for (rid, old) in &matches {
+                let victims = Self::dml_victims(ctx, &info, predicate.as_ref())?;
+                for (rid, old) in &victims {
                     let mut values = old.values().to_vec();
                     for (ordinal, expr) in &assignments {
                         values[*ordinal] = expr.eval(old)?;
@@ -1510,7 +1579,7 @@ impl Database {
                     }
                     self.insert_one(&info, &new)?;
                 }
-                Ok(QueryResult::Affected(matches.len()))
+                Ok(QueryResult::Affected(victims.len()))
             }
             Statement::Analyze { table } => {
                 // Statistics install copy-on-write: readers planning

@@ -55,14 +55,15 @@ pub const WAIT_BUCKETS_US: &[u64] = &[
     1_000_000,
 ];
 
-/// A fixed-bucket histogram: one atomic per bucket plus sum and count.
+/// A fixed-bucket histogram: one atomic per bucket plus a sum. The count
+/// is not stored: a snapshot derives it from the bucket loads it made, so
+/// `count == counts.iter().sum()` holds in every snapshot by construction.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
     /// `bounds.len() + 1` buckets; the last is the +Inf overflow.
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Histogram {
@@ -71,7 +72,6 @@ impl Histogram {
             bounds,
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -83,15 +83,15 @@ impl Histogram {
             .unwrap_or(self.bounds.len());
         self.buckets[idx].fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
-        self.count.fetch_add(1, Relaxed);
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
-            counts: self.buckets.iter().map(|b| b.load(Relaxed)).collect(),
+            count: counts.iter().sum(),
+            counts,
             sum: self.sum.load(Relaxed),
-            count: self.count.load(Relaxed),
         }
     }
 
@@ -248,6 +248,7 @@ pub struct EngineMetrics {
     pub wal_records_written: Counter,
     pub wal_bytes: Counter,
     pub checkpoints: Counter,
+    pub checkpoint_failures: Counter,
     pub recoveries: Counter,
     pub recovery_replayed_records: Counter,
     /// Syncs a committer skipped because a group-commit peer already
@@ -300,6 +301,7 @@ impl Default for EngineMetrics {
             wal_records_written: Counter::default(),
             wal_bytes: Counter::default(),
             checkpoints: Counter::default(),
+            checkpoint_failures: Counter::default(),
             recoveries: Counter::default(),
             recovery_replayed_records: Counter::default(),
             wal_coalesced_syncs: Counter::default(),
@@ -344,6 +346,7 @@ impl EngineMetrics {
             wal_records_written: self.wal_records_written.get(),
             wal_bytes: self.wal_bytes.get(),
             checkpoints: self.checkpoints.get(),
+            checkpoint_failures: self.checkpoint_failures.get(),
             recoveries: self.recoveries.get(),
             recovery_replayed_records: self.recovery_replayed_records.get(),
             wal_coalesced_syncs: self.wal_coalesced_syncs.get(),
@@ -388,6 +391,7 @@ pub struct MetricsSnapshot {
     pub wal_records_written: u64,
     pub wal_bytes: u64,
     pub checkpoints: u64,
+    pub checkpoint_failures: u64,
     pub recoveries: u64,
     pub recovery_replayed_records: u64,
     pub wal_coalesced_syncs: u64,
@@ -446,6 +450,7 @@ impl MetricsSnapshot {
             ("evopt_wal_records_written_total", self.wal_records_written),
             ("evopt_wal_bytes_total", self.wal_bytes),
             ("evopt_checkpoints_total", self.checkpoints),
+            ("evopt_checkpoint_failures_total", self.checkpoint_failures),
             ("evopt_recoveries_total", self.recoveries),
             (
                 "evopt_recovery_replayed_records_total",
@@ -565,13 +570,15 @@ mod tests {
                 })
             })
             .collect();
-        // Read while the writers race: count must only grow. (Bucket sums
-        // may transiently lag `count` — bucket and count are separate
-        // relaxed atomics — but must never exceed it by the end.)
+        // Read while the writers race: count must only grow, and every
+        // snapshot's bucket sum equals its count (the count is derived
+        // from the bucket loads, so a snapshot cannot be torn). The sum
+        // of observed values is a separate atomic and may lag.
         let mut last = 0u64;
         for _ in 0..1_000 {
             let s = h.snapshot();
             assert!(s.count >= last, "count went backwards");
+            assert_eq!(s.counts.iter().sum::<u64>(), s.count);
             last = s.count;
             std::thread::yield_now();
         }

@@ -13,10 +13,18 @@ pub struct Client {
 }
 
 impl Client {
+    /// Connect with `TCP_NODELAY` set: each request is one small frame
+    /// that the server must see whole before it answers, so there is
+    /// nothing to gain from Nagle's algorithm holding it back.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
+    }
+
+    /// Whether `TCP_NODELAY` is set on the connection.
+    pub fn nodelay(&self) -> io::Result<bool> {
+        self.stream.nodelay()
     }
 
     /// Send one statement (SQL or `\` meta command) and read its response.

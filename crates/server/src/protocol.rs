@@ -76,7 +76,9 @@ impl Response {
     }
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame with a single `write_all`: prefix and
+/// payload leave in one segment, so a peer waiting on the whole frame is
+/// never held up by Nagle's algorithm between the two halves.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -87,8 +89,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -144,12 +148,40 @@ mod tests {
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
     }
 
+    /// A sink that records each `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b"SELECT 1"[..], b"", &[b'y'; MAX_FRAME]] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.writes.len(), 1, "prefix and payload in one write");
+            let mut r = &sink.writes[0][..];
+            assert_eq!(read_frame(&mut r).unwrap(), payload);
+        }
+    }
+
     #[test]
     fn oversized_writes_are_refused() {
         let huge = vec![b'x'; MAX_FRAME + 1];
-        let mut sink = Vec::new();
+        let mut sink = CountingWriter::default();
         assert!(write_frame(&mut sink, &huge).is_err());
-        assert!(sink.is_empty(), "nothing must hit the wire");
+        assert!(sink.writes.is_empty(), "nothing must hit the wire");
     }
 
     #[test]

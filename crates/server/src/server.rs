@@ -101,6 +101,10 @@ pub fn serve(db: Arc<Database>, addr: &str, config: ServerConfig) -> Result<Serv
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Every response is one frame the client waits for whole;
+            // refused connections get their `Bye` unbuffered too. A socket
+            // that rejects the option still works, only slower.
+            let _ = stream.set_nodelay(true);
             // Claim a session slot, or refuse: a full server answers
             // immediately instead of letting the connection hang.
             let claimed = active

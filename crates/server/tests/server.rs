@@ -49,6 +49,14 @@ fn statements_roundtrip_over_the_wire() {
 }
 
 #[test]
+fn client_connections_disable_nagle() {
+    let (_db, handle) = served(1);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert!(c.nodelay().unwrap(), "TCP_NODELAY must be set on connect");
+    expect_result(c.request("\\help").unwrap());
+}
+
+#[test]
 fn writes_from_one_client_are_visible_to_another() {
     let (_db, handle) = served(4);
     let mut a = Client::connect(handle.addr()).unwrap();

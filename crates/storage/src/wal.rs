@@ -224,6 +224,8 @@ pub struct WalStats {
     pub bytes_written: u64,
     pub commits: u64,
     pub checkpoints: u64,
+    /// Checkpoints that returned an error (the log was not cut).
+    pub checkpoint_failures: u64,
     pub recoveries: u64,
     pub replayed_records: u64,
     /// Syncs that early-returned because a sibling session's physical sync
@@ -233,6 +235,10 @@ pub struct WalStats {
 
 struct WalState {
     scan_start: PageId,
+    /// Every page of the current chain in link order: `scan_start` first,
+    /// `tail_page` last. A checkpoint releases the old chain from this
+    /// list instead of walking it on disk.
+    chain: Vec<PageId>,
     checkpoint_lsn: Lsn,
     next_lsn: Lsn,
     /// The chain's last page; appends accumulate here in memory and reach
@@ -276,6 +282,7 @@ pub struct Wal {
     bytes_written: AtomicU64,
     commits: AtomicU64,
     checkpoints: AtomicU64,
+    checkpoint_failures: AtomicU64,
     recoveries: AtomicU64,
     replayed_records: AtomicU64,
 }
@@ -313,6 +320,7 @@ impl Wal {
             disk,
             state: Mutex::new(WalState {
                 scan_start: first,
+                chain: vec![first],
                 checkpoint_lsn: 0,
                 next_lsn: 1,
                 tail_page: first,
@@ -331,6 +339,7 @@ impl Wal {
             bytes_written: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            checkpoint_failures: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             replayed_records: AtomicU64::new(0),
         };
@@ -364,12 +373,14 @@ impl Wal {
             let len = u32::from_le_bytes(len_bytes) as usize;
             if len == 0 {
                 // Clean end-of-log marker.
+                let chain = cursor.pages;
                 return Self::finish_open(
                     disk,
                     records,
                     last_lsn,
                     RecoveryMeta {
                         scan_start,
+                        chain,
                         master_checkpoint_lsn,
                         torn_tail: false,
                     },
@@ -408,12 +419,14 @@ impl Wal {
         // Reached on break: either damage (torn_tail) or the chain ended
         // exactly on a frame boundary with no room for an end marker —
         // which is a clean end too.
+        let chain = cursor.pages;
         Self::finish_open(
             disk,
             records,
             last_lsn,
             RecoveryMeta {
                 scan_start,
+                chain,
                 master_checkpoint_lsn,
                 torn_tail,
             },
@@ -439,12 +452,19 @@ impl Wal {
             .get(committed_len.checked_sub(1).unwrap_or(usize::MAX))
             .map(|(_, pos)| *pos)
             .unwrap_or((meta.scan_start, 0));
+        // The chain is cut after the tail page below, so it keeps exactly
+        // the pages the scan visited up to the tail.
+        let mut chain = meta.chain;
+        if let Some(i) = chain.iter().position(|&p| p == tail_page) {
+            chain.truncate(i + 1);
+        }
 
         // Rebuild the catalog image and replay committed page images.
         let wal = Wal {
             disk,
             state: Mutex::new(WalState {
                 scan_start: meta.scan_start,
+                chain,
                 checkpoint_lsn: meta.master_checkpoint_lsn,
                 next_lsn: max_lsn + 1,
                 tail_page,
@@ -464,6 +484,7 @@ impl Wal {
             bytes_written: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            checkpoint_failures: AtomicU64::new(0),
             recoveries: AtomicU64::new(1),
             replayed_records: AtomicU64::new(0),
         };
@@ -737,10 +758,24 @@ impl Wal {
     /// then start a fresh chain headed by a checkpoint record carrying
     /// `catalog`, switch the master to it, and release the old chain.
     ///
-    /// Must run between statements (no uncommitted changes pending).
+    /// Must run between statements (no uncommitted changes pending). A
+    /// failure is counted in [`WalStats::checkpoint_failures`].
     pub fn checkpoint(&self, pool: &BufferPool, catalog: &CatalogImage) -> Result<()> {
         let _rs = lockorder::acquire(lockorder::WAL_STATE);
         let mut state = self.state.lock();
+        let result = self.checkpoint_locked(&mut state, pool, catalog);
+        if result.is_err() {
+            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    fn checkpoint_locked(
+        &self,
+        state: &mut WalState,
+        pool: &BufferPool,
+        catalog: &CatalogImage,
+    ) -> Result<()> {
         if let Some(msg) = &state.poisoned {
             return Err(EvoptError::Io(format!("wal unusable after failure: {msg}")));
         }
@@ -756,8 +791,8 @@ impl Wal {
         // 0. Drain any grouped commits still awaiting durability, emptying
         //    the unsynced gate so flush_all below can pass every page.
         if state.last_commit_lsn > self.synced_lsn.load(Ordering::SeqCst) {
-            self.flush_tail_and_sync(&mut state)?;
-            self.mark_synced(&state);
+            self.flush_tail_and_sync(state)?;
+            self.mark_synced(state);
         }
 
         // 1. All committed dirty pages reach disk (the gates pass them —
@@ -770,7 +805,8 @@ impl Wal {
         let cp_page = self.disk.allocate_page();
         state.tail_buf[..LOG_PAGE_HDR].copy_from_slice(&cp_page.to_le_bytes());
         self.write_page_verified(state.tail_page, &state.tail_buf)?;
-        let old_start = state.scan_start;
+        let sealed = state.chain.len();
+        state.chain.push(cp_page);
         state.tail_page = cp_page;
         state.tail_buf.fill(0);
         state.tail_used = 0;
@@ -782,10 +818,10 @@ impl Wal {
         payload.push(KIND_CHECKPOINT);
         payload.extend_from_slice(&lsn.to_le_bytes());
         put_catalog_image(&mut payload, catalog);
-        self.append_record(&mut state, &payload)?;
+        self.append_record(state, &payload)?;
         state.last_commit_lsn = lsn;
-        self.flush_tail_and_sync(&mut state)?;
-        self.mark_synced(&state);
+        self.flush_tail_and_sync(state)?;
+        self.mark_synced(state);
 
         // 4. Atomic master switch: after this, recovery scans from the
         //    checkpoint record. Before it, recovery scans the old chain —
@@ -796,21 +832,11 @@ impl Wal {
         self.write_master(state.scan_start, state.checkpoint_lsn, state.next_lsn)?;
         self.sync_retry()?;
 
-        // 5. Release the old chain (everything strictly before cp_page).
-        let mut id = old_start;
-        let bound = self.disk.page_count();
-        let mut hops = 0u64;
-        while id != cp_page && id != NO_NEXT && hops <= bound {
-            hops += 1;
-            let mut buf = Box::new([0u8; PAGE_SIZE]);
-            if read_page_retry(&self.disk, id, &mut buf).is_err() {
-                break; // unreadable old chain: leak it, stay correct
-            }
-            let next = PageId::from_le_bytes([
-                buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], buf[6], buf[7],
-            ]);
+        // 5. Release the old chain (everything strictly before cp_page):
+        //    its pages are known from the appends, so nothing is re-read.
+        let old: Vec<PageId> = state.chain.drain(..sealed).collect();
+        for id in old {
             self.disk.deallocate_page(id)?;
-            id = next;
         }
 
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -824,6 +850,7 @@ impl Wal {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             replayed_records: self.replayed_records.load(Ordering::Relaxed),
             coalesced_syncs: self.coalesced_syncs.load(Ordering::Relaxed),
@@ -852,6 +879,15 @@ impl Wal {
     /// Highest LSN known durable on disk.
     pub fn synced_lsn(&self) -> Lsn {
         self.synced_lsn.load(Ordering::SeqCst)
+    }
+
+    /// Bytes of log in the current chain — everything recovery would scan,
+    /// from the last checkpoint record (or the log's start) to the tail.
+    pub fn log_bytes(&self) -> u64 {
+        let _rs = lockorder::acquire(lockorder::WAL_STATE);
+        let state = self.state.lock();
+        let full_pages = state.chain.len().saturating_sub(1);
+        (full_pages * LOG_PAGE_PAYLOAD + state.tail_used) as u64
     }
 
     // ---- append machinery ----------------------------------------------
@@ -886,6 +922,7 @@ impl Wal {
                 let next = self.disk.allocate_page();
                 state.tail_buf[..LOG_PAGE_HDR].copy_from_slice(&next.to_le_bytes());
                 self.write_page_verified(state.tail_page, &state.tail_buf)?;
+                state.chain.push(next);
                 state.tail_page = next;
                 state.tail_buf.fill(0);
                 state.tail_used = 0;
@@ -1002,6 +1039,8 @@ impl Wal {
 
 struct RecoveryMeta {
     scan_start: PageId,
+    /// Pages the scan read, in chain order.
+    chain: Vec<PageId>,
     master_checkpoint_lsn: Lsn,
     torn_tail: bool,
 }
@@ -1013,6 +1052,8 @@ struct LogCursor<'a> {
     buf: Box<PageData>,
     /// Offset into the payload area `[0, LOG_PAGE_PAYLOAD]`.
     off: usize,
+    /// Every page loaded so far, in chain order.
+    pages: Vec<PageId>,
 }
 
 impl<'a> LogCursor<'a> {
@@ -1024,6 +1065,7 @@ impl<'a> LogCursor<'a> {
             page,
             buf,
             off: 0,
+            pages: vec![page],
         })
     }
 
@@ -1052,6 +1094,7 @@ impl<'a> LogCursor<'a> {
                     return Ok(None);
                 }
                 read_page_retry(self.disk, next, &mut self.buf)?;
+                self.pages.push(next);
                 self.page = next;
                 self.off = 0;
             }
@@ -1493,6 +1536,52 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(e, &mut buf).unwrap();
         assert_eq!(buf[50], 0xEE, "post-checkpoint commit replayed");
+    }
+
+    /// The chain's page ids on disk: `scan_start` and its next links.
+    fn chain_on_disk(disk: &Arc<dyn DiskBackend>) -> Vec<PageId> {
+        let (mut id, _) = Wal::read_master(disk).unwrap();
+        let mut chain = Vec::new();
+        while id != NO_NEXT {
+            chain.push(id);
+            let mut buf = [0u8; PAGE_SIZE];
+            disk.read_page(id, &mut buf).unwrap();
+            id = PageId::from_le_bytes(buf[..8].try_into().unwrap());
+        }
+        chain
+    }
+
+    #[test]
+    fn tracked_chain_matches_disk_across_reopen_and_is_released_by_checkpoint() {
+        let (disk, pool, wal) = setup(8);
+        let dyn_disk = Arc::clone(&disk) as Arc<dyn DiskBackend>;
+        for fill in 1..=6u8 {
+            fill_page(&pool, fill);
+            wal.commit(&pool).unwrap();
+        }
+        let chain = wal.state.lock().chain.clone();
+        assert!(chain.len() >= 6, "six page images span six log pages");
+        assert_eq!(chain, chain_on_disk(&dyn_disk));
+        assert!(wal.log_bytes() > 6 * PAGE_SIZE as u64);
+        drop((pool, wal));
+
+        // Recovery rebuilds the same list from its scan.
+        let (wal, _) = Wal::open(Arc::clone(&dyn_disk)).unwrap();
+        assert_eq!(wal.state.lock().chain, chain);
+        let pool = BufferPool::new(Arc::clone(&dyn_disk), 8, PolicyKind::Lru);
+        pool.set_flush_gate(Arc::clone(&wal) as Arc<dyn FlushGate>);
+        wal.checkpoint(&pool, &CatalogImage::default()).unwrap();
+
+        // Every page of the old chain is gone; the new chain is what the
+        // master names, and it holds only the checkpoint record.
+        let mut buf = [0u8; PAGE_SIZE];
+        for id in &chain {
+            assert!(disk.read_page(*id, &mut buf).is_err(), "page {id} leaked");
+        }
+        let fresh = wal.state.lock().chain.clone();
+        assert_eq!(fresh, chain_on_disk(&dyn_disk));
+        assert_eq!(fresh.len(), 1);
+        assert!(wal.log_bytes() < PAGE_SIZE as u64);
     }
 
     #[test]

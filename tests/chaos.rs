@@ -15,7 +15,12 @@
 //! Seeds: `CHAOS_SEED=<n>` pins one seed (the CI matrix runs 1, 2, 3);
 //! without it every default seed runs in-process.
 
-use evopt::{Database, DatabaseConfig, Durability, FaultConfig, Tuple};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
+
+use evopt::storage::page::PageData;
+use evopt::storage::PageId;
+use evopt::{Database, DatabaseConfig, DiskBackend, DiskManager, Durability, FaultConfig, Tuple};
 use evopt_workload::{load_tpch_lite, load_wisconsin};
 
 /// Seeds to exercise: the CHAOS_SEED env var pins one (CI matrix), default
@@ -390,4 +395,162 @@ fn io_snapshot_since_misuse_is_defined() {
     let after = db.disk().snapshot();
     let delta = after.since(&idle);
     assert!(delta.writes > 0);
+}
+
+/// Pool frames for the automatic-checkpoint scenarios: the log bound is
+/// `AUTO_POOL × PAGE_SIZE` bytes.
+const AUTO_POOL: usize = 16;
+
+fn auto_cfg(faults: Option<FaultConfig>) -> DatabaseConfig {
+    DatabaseConfig {
+        buffer_pages: AUTO_POOL,
+        durability: Durability::Wal,
+        faults,
+        ..Default::default()
+    }
+}
+
+/// Rows `lo..hi` of `kv`, one statement.
+fn insert_range(db: &Database, lo: i64, hi: i64) -> evopt::common::Result<evopt::QueryResult> {
+    let rows: Vec<String> = (lo..hi)
+        .map(|k| format!("({k}, '{}')", "x".repeat(200)))
+        .collect();
+    db.execute(&format!("INSERT INTO kv VALUES {}", rows.join(", ")))
+}
+
+/// Create `kv` and commit single-row statements until the next 200-row
+/// statement (over 40 KiB of page images) must cross the log bound, while
+/// this one stays under it.
+fn fill_log_to_near_bound(db: &Database) {
+    db.execute("CREATE TABLE kv (k INT NOT NULL, pad STRING NOT NULL)")
+        .unwrap();
+    let wal = db.wal().expect("durable database");
+    let bound = (AUTO_POOL * evopt::storage::PAGE_SIZE) as u64;
+    let mut k = 0;
+    while wal.log_bytes() + 40 * 1024 < bound {
+        insert_range(db, k, k + 1).unwrap();
+        k += 1;
+    }
+    assert_eq!(wal.stats().checkpoints, 0, "the setup itself checkpointed");
+}
+
+/// Recover `disk` and count the rows of the triggering statement.
+fn recovered_trigger_rows(disk: Arc<dyn DiskBackend>) -> i64 {
+    let (db, _) = Database::recover(disk, auto_cfg(None)).expect("recovery");
+    let rows = db
+        .query("SELECT COUNT(*) FROM kv WHERE k >= 10000")
+        .unwrap();
+    rows[0].values()[0]
+        .as_i64()
+        .expect("COUNT(*) is an integer")
+}
+
+/// The statement that pushes the log over its bound triggers a checkpoint
+/// after its own commit is durable. Sync faults injected while that
+/// checkpoint runs never turn the acknowledged statement into an error,
+/// and its rows survive recovery.
+#[test]
+fn sync_faults_during_an_automatic_checkpoint_keep_the_statement_acknowledged() {
+    for seed in chaos_seeds() {
+        let base: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
+        let faults = FaultConfig {
+            seed,
+            sync_error: 1.0,
+            ..FaultConfig::default()
+        };
+        let db = Database::create_on(Arc::clone(&base), auto_cfg(Some(faults))).unwrap();
+        let injector = db.fault_injector().expect("built with faults").clone();
+        injector.set_enabled(false);
+        fill_log_to_near_bound(&db);
+
+        injector.set_enabled(true);
+        let result = insert_range(&db, 10_000, 10_200);
+        injector.set_enabled(false);
+        assert!(
+            result.is_ok(),
+            "seed {seed}: triggering statement failed: {result:?}"
+        );
+        let stats = db.wal().expect("durable database").stats();
+        assert_eq!(
+            stats.checkpoints + stats.checkpoint_failures,
+            1,
+            "seed {seed}: {stats:?}"
+        );
+        assert!(
+            injector.report().sync_failures >= 2,
+            "seed {seed}: the commit and the checkpoint must both meet a sync fault"
+        );
+        drop(db);
+        assert_eq!(recovered_trigger_rows(base), 200, "seed {seed}");
+    }
+}
+
+/// A disk whose syncs fail for good once armed, after letting a set
+/// number through: a fault no retry heals.
+struct FailingSyncs {
+    inner: DiskManager,
+    /// Syncs still allowed once armed; negative = not armed.
+    passes: AtomicI64,
+}
+
+impl DiskBackend for FailingSyncs {
+    fn allocate_page(&self) -> PageId {
+        self.inner.allocate_page()
+    }
+    fn deallocate_page(&self, id: PageId) -> evopt::common::Result<()> {
+        self.inner.deallocate_page(id)
+    }
+    fn read_page(&self, id: PageId, buf: &mut PageData) -> evopt::common::Result<()> {
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &PageData) -> evopt::common::Result<()> {
+        self.inner.write_page(id, buf)
+    }
+    fn sync(&self) -> evopt::common::Result<()> {
+        match self.passes.load(Ordering::SeqCst) {
+            0 => return Err(evopt::common::EvoptError::Io("sync refused".into())),
+            n if n > 0 => self.passes.store(n - 1, Ordering::SeqCst),
+            _ => {}
+        }
+        self.inner.sync()
+    }
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+    fn snapshot(&self) -> evopt::IoSnapshot {
+        self.inner.snapshot()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+}
+
+/// When the automatic checkpoint fails outright (here: every sync after
+/// the statement's own commit), the statement still succeeds, the failure
+/// is counted, the next statement's trigger retries, and recovery keeps
+/// the rows.
+#[test]
+fn a_failed_automatic_checkpoint_is_counted_and_retried() {
+    let disk = Arc::new(FailingSyncs {
+        inner: DiskManager::new(),
+        passes: AtomicI64::new(-1),
+    });
+    let db =
+        Database::create_on(Arc::clone(&disk) as Arc<dyn DiskBackend>, auto_cfg(None)).unwrap();
+    fill_log_to_near_bound(&db);
+
+    disk.passes.store(1, Ordering::SeqCst); // the commit's own sync
+    insert_range(&db, 10_000, 10_200).expect("a durable statement is acknowledged");
+    disk.passes.store(-1, Ordering::SeqCst);
+    let wal = db.wal().expect("durable database");
+    let stats = wal.stats();
+    assert_eq!((stats.checkpoints, stats.checkpoint_failures), (0, 1));
+    assert_eq!(db.metrics_snapshot().checkpoint_failures, 1);
+
+    // The log is still over its bound: the next commit checkpoints.
+    insert_range(&db, 20_000, 20_001).unwrap();
+    assert_eq!(wal.stats().checkpoints, 1);
+    assert!(wal.log_bytes() < (AUTO_POOL * evopt::storage::PAGE_SIZE) as u64);
+    drop(db);
+    assert_eq!(recovered_trigger_rows(disk), 201);
 }

@@ -62,7 +62,9 @@ fn lcg(state: &mut u64) -> u64 {
 /// A deterministic DML/DDL script: creates, loads, indexes, updates,
 /// deletes, and drops — every statement class the WAL logs. With
 /// `checkpoints`, checkpoint calls are interleaved so the sweep also
-/// crashes *inside* checkpoints.
+/// crashes *inside* checkpoints; without, the script logs more than one
+/// pool's worth of bytes, so the engine checkpoints on its own and the
+/// sweep crashes inside automatic checkpoints instead.
 fn script(seed: u64, checkpoints: bool) -> Vec<Op> {
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut ops = Vec::new();
@@ -116,6 +118,14 @@ fn script(seed: u64, checkpoints: bool) -> Vec<Op> {
             }
         }
         ops = with_cp;
+    } else {
+        for _ in 0..4 {
+            insert_batch(&mut ops, &mut rng, 15);
+            ops.push(Op::Sql(format!(
+                "UPDATE t SET val = val + 1 WHERE grp = {}",
+                lcg(&mut rng) % 5
+            )));
+        }
     }
     ops
 }
@@ -181,17 +191,21 @@ fn run_until_crash(db: &Database, ops: &[Op]) -> usize {
     ops.len()
 }
 
-/// Mutating-op count of a crash-free run (sizes the sweep), plus a sanity
-/// check that the script really is crash-free on a healthy disk.
-fn crash_free_mutations(ops: &[Op]) -> u64 {
+/// Mutating-op count of a crash-free run (sizes the sweep) and the
+/// checkpoints the engine took on its own, plus a sanity check that the
+/// script really is crash-free on a healthy disk.
+fn crash_free_run(ops: &[Op]) -> (u64, u64) {
     let inner: Arc<dyn DiskBackend> = Arc::new(DiskManager::new());
     let counter = Arc::new(CrashingBackend::unlimited(inner));
     let db = Database::create_on(Arc::clone(&counter) as Arc<dyn DiskBackend>, durable_cfg())
         .expect("bootstrap on a healthy disk");
+    let mut explicit = 0;
     for op in ops {
         apply(&db, op).expect("script must run clean without a crash budget");
+        explicit += matches!(op, Op::Checkpoint) as u64;
     }
-    counter.mutation_ops()
+    let wal = db.wal().expect("durable database").stats();
+    (counter.mutation_ops(), wal.checkpoints - explicit)
 }
 
 /// Build a database over a crash-after-N backend, run the script into the
@@ -256,7 +270,14 @@ fn assert_recovers_to_prefix(
 fn torture(seed: u64, checkpoints: bool) {
     let ops = script(seed, checkpoints);
     let twins = twin_digests(&ops);
-    let m = crash_free_mutations(&ops);
+    let (m, automatic) = crash_free_run(&ops);
+    if !checkpoints {
+        // Otherwise the sweep would never crash inside a checkpoint.
+        assert!(
+            automatic >= 1,
+            "seed {seed}: the log never reached the checkpoint bound"
+        );
+    }
     // The floor was 50 when read paths still dirtied every page they
     // touched (forcing eviction write-backs the sweep counted as mutating
     // ops). With reads fixed to leave the dirty bit alone, the same script
@@ -305,7 +326,7 @@ fn crash_point_torture_sweep_with_checkpoints() {
 fn crash_during_recovery_then_recover_again() {
     for seed in seeds() {
         let ops = script(seed, true);
-        let m = crash_free_mutations(&ops);
+        let (m, _) = crash_free_run(&ops);
         // Three representative workload crash points (sweeping both axes
         // exhaustively would square the runtime for no extra coverage —
         // the recovery axis below is exhaustive).
@@ -365,7 +386,7 @@ fn crash_during_recovery_then_recover_again() {
 fn recovered_database_keeps_working() {
     for seed in seeds() {
         let ops = script(seed, false);
-        let m = crash_free_mutations(&ops);
+        let (m, _) = crash_free_run(&ops);
         let Some((disk, _)) = crashed_disk(&ops, m * 2 / 3) else {
             continue;
         };
