@@ -15,12 +15,14 @@
 //! On a disconnected predicate graph (cartesian products required) DPccp's
 //! preconditions fail; we fall back to naive bushy DP.
 
+use std::rc::Rc;
+
 use evopt_common::Result;
 use evopt_plan::join_graph::RelMask;
 
 use super::{dp_bushy, JoinContext, PlanTable, SubPlan};
 
-pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
+pub fn run(ctx: &JoinContext) -> Result<Rc<SubPlan>> {
     let n = ctx.rels.len();
     let all = ctx.graph.all_mask();
     if n > 1 && !ctx.graph.subgraph_connected(all) {
@@ -42,19 +44,19 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     // Sort by combined size so sub-plans exist before they're needed.
     pairs.sort_by_key(|(a, b)| (a | b).count_ones());
     for (s1, s2) in pairs {
-        for l in table.plans_for_cloned(s1) {
-            for r in table.plans_for_cloned(s2) {
-                for cand in ctx.join_candidates(&l, &r, false)? {
+        for l in table.plans_for(s1) {
+            for r in table.plans_for(s2) {
+                for cand in ctx.join_candidates(&l, &r, false) {
                     ctx.admit(&mut table, cand);
                 }
-                for cand in ctx.join_candidates(&r, &l, false)? {
+                for cand in ctx.join_candidates(&r, &l, false) {
                     ctx.admit(&mut table, cand);
                 }
             }
         }
     }
     ctx.trace_memo(table.len());
-    ctx.pick_final(table.plans_for_cloned(all))
+    ctx.pick_final(table.plans_for(all))
 }
 
 /// Bits strictly below `i`, plus `i` itself: the canonical "forbidden"

@@ -8,14 +8,20 @@
 //! pays off (a merge join above, or the query's ORDER BY). Cartesian
 //! products are considered only for subsets with no connected split.
 
+use std::rc::Rc;
+
 use evopt_common::Result;
 
 use super::{JoinContext, PlanTable, SubPlan};
 
-pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
+pub fn run(ctx: &JoinContext) -> Result<Rc<SubPlan>> {
     let n = ctx.rels.len();
     let all = ctx.graph.all_mask();
     let mut table = PlanTable::new();
+    // Every access path of every relation, as an inner input.
+    let bases: Vec<Vec<Rc<SubPlan>>> = (0..n)
+        .map(|r| ctx.base_subplans(r).into_iter().map(Rc::new).collect())
+        .collect();
 
     let mut level_started = std::time::Instant::now();
     for r in 0..n {
@@ -44,9 +50,9 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 if has_connected && !connected {
                     continue;
                 }
-                for left in table.plans_for_cloned(left_mask) {
-                    for right in ctx.base_subplans(r) {
-                        for cand in ctx.join_candidates(&left, &right, !connected)? {
+                for left in table.plans_for(left_mask) {
+                    for right in &bases[r] {
+                        for cand in ctx.join_candidates(&left, right, !connected) {
                             ctx.admit(&mut table, cand);
                         }
                     }
@@ -57,7 +63,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
     }
 
     ctx.trace_memo(table.len());
-    ctx.pick_final(table.plans_for_cloned(all))
+    ctx.pick_final(table.plans_for(all))
 }
 
 #[cfg(test)]
@@ -71,7 +77,7 @@ mod tests {
         let ctx = f.ctx();
         let plan = enumerate(&ctx, Strategy::SystemR).unwrap();
         assert_eq!(plan.mask, ctx.graph.all_mask());
-        let order = plan.plan.scan_order();
+        let order = ctx.materialize(&plan).unwrap().scan_order();
         assert_eq!(order.len(), 3);
     }
 
@@ -80,15 +86,21 @@ mod tests {
         // t(1k) — u(10k) — v(100k): the optimal left-deep order starts from
         // the small end, never from v.
         let f = chain3();
-        let plan = enumerate(&f.ctx(), Strategy::SystemR).unwrap();
-        let order = plan.plan.scan_order();
-        assert_ne!(order[0], "v", "plan:\n{}", plan.plan);
+        let ctx = f.ctx();
+        let plan = ctx
+            .materialize(&enumerate(&ctx, Strategy::SystemR).unwrap())
+            .unwrap();
+        let order = plan.scan_order();
+        assert_ne!(order[0], "v", "plan:\n{plan}");
     }
 
     #[test]
     fn star_avoids_cartesian_when_connected() {
         let f = star4();
-        let plan = enumerate(&f.ctx(), Strategy::SystemR).unwrap();
+        let ctx = f.ctx();
+        let plan = ctx
+            .materialize(&enumerate(&ctx, Strategy::SystemR).unwrap())
+            .unwrap();
         // The fact table joins each dimension directly; with deferred cross
         // products the plan contains no cross join (every join has a
         // predicate or key).
@@ -101,7 +113,7 @@ mod tests {
             };
             ok && p.children().iter().all(|c| no_pure_cross(c))
         }
-        assert!(no_pure_cross(&plan.plan), "plan:\n{}", plan.plan);
+        assert!(no_pure_cross(&plan), "plan:\n{plan}");
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! produce bushy shapes that left-deep greedy cannot. Still polynomial
 //! (O(n³) pair evaluations), still heuristic.
 
+use std::rc::Rc;
+
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 
 use super::{JoinContext, SubPlan};
 
-pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
+pub fn run(ctx: &JoinContext) -> Result<Rc<SubPlan>> {
     let n = ctx.rels.len();
-    let mut forest: Vec<SubPlan> = (0..n)
+    let mut forest: Vec<Rc<SubPlan>> = (0..n)
         .map(|r| ctx.cheapest_base(r))
         .collect::<Result<_>>()?;
 
@@ -26,7 +28,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 continue;
             }
             for (a, b) in [(i, j), (j, i)] {
-                for cand in ctx.join_candidates(&forest[a], &forest[b], !connected)? {
+                for cand in ctx.join_candidates(&forest[a], &forest[b], !connected) {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,
@@ -53,7 +55,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
         let (hi, lo) = (i.max(j), i.min(j));
         forest.swap_remove(hi);
         forest.swap_remove(lo);
-        forest.push(merged);
+        forest.push(Rc::new(merged));
     }
 
     let last = forest
@@ -74,9 +76,10 @@ mod tests {
     #[test]
     fn covers_all_relations() {
         let f = star4();
-        let plan = enumerate(&f.ctx(), Strategy::Goo).unwrap();
-        assert_eq!(plan.mask, f.ctx().graph.all_mask());
-        assert_eq!(plan.plan.scan_order().len(), 4);
+        let ctx = f.ctx();
+        let plan = enumerate(&ctx, Strategy::Goo).unwrap();
+        assert_eq!(plan.mask, ctx.graph.all_mask());
+        assert_eq!(ctx.materialize(&plan).unwrap().scan_order().len(), 4);
     }
 
     #[test]

@@ -6,17 +6,19 @@
 //! blind to globally-better orders; experiment F2 quantifies the regret
 //! against DP.
 
+use std::rc::Rc;
+
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 
 use super::{JoinContext, SubPlan};
 
-pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
+pub fn run(ctx: &JoinContext) -> Result<Rc<SubPlan>> {
     let n = ctx.rels.len();
     let all = ctx.graph.all_mask();
 
     // Seed: smallest relation by filtered rows (cheapest path as tiebreak).
-    let mut current: Option<SubPlan> = None;
+    let mut current: Option<Rc<SubPlan>> = None;
     for r in 0..n {
         let cand = ctx.cheapest_base(r)?;
         let better = match &current {
@@ -50,7 +52,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 continue;
             }
             for base in ctx.base_subplans(r) {
-                for cand in ctx.join_candidates(&current, &base, !connected)? {
+                for cand in ctx.join_candidates(&current, &Rc::new(base), !connected) {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,
@@ -70,7 +72,7 @@ pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
                 }
             }
         }
-        current = best.ok_or_else(|| {
+        current = best.map(Rc::new).ok_or_else(|| {
             EvoptError::Internal(
                 "greedy: no join candidate (cross join should be a fallback)".into(),
             )
@@ -88,16 +90,18 @@ mod tests {
     #[test]
     fn covers_all_and_is_left_deep() {
         let f = chain3();
-        let plan = enumerate(&f.ctx(), Strategy::Greedy).unwrap();
-        assert_eq!(plan.mask, f.ctx().graph.all_mask());
-        assert_eq!(plan.plan.scan_order().len(), 3);
+        let ctx = f.ctx();
+        let plan = enumerate(&ctx, Strategy::Greedy).unwrap();
+        assert_eq!(plan.mask, ctx.graph.all_mask());
+        assert_eq!(ctx.materialize(&plan).unwrap().scan_order().len(), 3);
     }
 
     #[test]
     fn starts_from_smallest_relation() {
         let f = chain3();
-        let plan = enumerate(&f.ctx(), Strategy::Greedy).unwrap();
-        assert_eq!(plan.plan.scan_order()[0], "t");
+        let ctx = f.ctx();
+        let plan = enumerate(&ctx, Strategy::Greedy).unwrap();
+        assert_eq!(ctx.materialize(&plan).unwrap().scan_order()[0], "t");
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! All strategies share one plan space, defined here:
 //!
-//! * a [`SubPlan`] is a costed physical plan covering a subset of the join
-//!   graph's relations (a [`RelMask`]), carrying the map from *global*
-//!   column ordinals to its output positions and the order it produces;
+//! * a [`SubPlan`] is a costed *descriptor* of a plan covering a subset of
+//!   the join graph's relations (a [`RelMask`]): its rows, width, cost,
+//!   produced order, root operator name, and the [`Step`] that combines
+//!   its `Rc`-shared inputs. Nothing physical exists during the search;
 //! * [`JoinContext::base_subplans`] turns access-path choices into leaf
-//!   subplans;
-//! * [`JoinContext::join_candidates`] combines two subplans with every
-//!   applicable join method (NL, block-NL, index-NL, sort-merge, hash),
-//!   applying exactly the predicates that first become evaluable at that
-//!   join.
+//!   descriptors;
+//! * [`JoinContext::join_candidates`] costs two descriptors joined by every
+//!   applicable method (NL, block-NL, index-NL, sort-merge, hash) from
+//!   their rows, pages and the split's selectivity;
+//! * [`JoinContext::materialize`] builds the one [`PhysicalPlan`] of the
+//!   winner: join keys, residuals, and exactly the predicates that first
+//!   become evaluable at each join, remapped to its output columns.
 //!
 //! The strategies ([`Strategy`]) then differ only in *which* combinations
 //! they explore: exhaustive left-deep DP with interesting orders (System R),
@@ -26,11 +29,12 @@ pub mod quickpick;
 pub mod syntactic;
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::time::Instant;
 
-use evopt_common::{EvoptError, Expr, Result};
+use evopt_common::{EvoptError, Expr, Result, Schema};
 use evopt_obs::{PruneReason, TraceSink};
-use evopt_plan::join_graph::{JoinGraph, RelMask};
+use evopt_plan::join_graph::{GraphPredicate, JoinGraph, RelMask};
 
 use crate::access_path::{IndexMeta, PathChoice, PathKind};
 use crate::cost::{Cost, CostModel};
@@ -118,19 +122,63 @@ pub struct JoinContext<'a> {
     pub trace: Option<&'a TraceSink>,
 }
 
-/// A costed plan covering `mask`'s relations.
+/// How a join [`SubPlan`] combines its two inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinMethod {
+    BlockNestedLoop,
+    NestedLoop,
+    Hash,
+    SortMerge,
+    /// Probe index `index` of the single inner relation (its position in
+    /// [`BaseRel::indexes`]) once per outer row.
+    IndexNestedLoop {
+        index: usize,
+    },
+}
+
+impl JoinMethod {
+    /// The physical operator's name, as [`PhysicalPlan::op_name`] prints it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            JoinMethod::BlockNestedLoop => "BlockNestedLoopJoin",
+            JoinMethod::NestedLoop => "NestedLoopJoin",
+            JoinMethod::Hash => "HashJoin",
+            JoinMethod::SortMerge => "SortMergeJoin",
+            JoinMethod::IndexNestedLoop { .. } => "IndexNestedLoopJoin",
+        }
+    }
+}
+
+/// How a [`SubPlan`] is built from its inputs.
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// Access path `path` of relation `rel` ([`BaseRel::paths`]); `None` is
+    /// an opaque leaf's pre-built plan.
+    Scan { rel: usize, path: Option<usize> },
+    /// `left ⋈ right`: the output holds left's columns, then right's.
+    Join {
+        method: JoinMethod,
+        left: Rc<SubPlan>,
+        right: Rc<SubPlan>,
+    },
+    /// An explicit ascending sort on global column `key`.
+    Sort { input: Rc<SubPlan>, key: usize },
+}
+
+/// A costed plan covering `mask`'s relations, described but not built.
+/// Its output columns are its relations' columns in leaf order (see
+/// [`JoinContext::col_map`]).
 #[derive(Debug, Clone)]
 pub struct SubPlan {
     pub mask: RelMask,
-    pub plan: PhysicalPlan,
     pub rows: f64,
     pub width: f64,
     pub cost: Cost,
-    /// Global ordinal → position in this plan's output (None if absent —
-    /// never happens today since leaves keep full schemas).
-    pub col_map: Vec<Option<usize>>,
     /// Global ordinal whose ascending order the output satisfies.
     pub order: Option<usize>,
+    /// Name of the root operator (the trace's method label).
+    pub method: &'static str,
+    pub step: Step,
 }
 
 impl SubPlan {
@@ -139,6 +187,19 @@ impl SubPlan {
         ((self.rows * self.width) / USABLE_PAGE_BYTES)
             .ceil()
             .max(1.0)
+    }
+
+    /// Call `f` with each relation whose columns make up the output, in
+    /// output order.
+    fn for_each_leaf(&self, f: &mut impl FnMut(usize)) {
+        match &self.step {
+            Step::Scan { rel, .. } => f(*rel),
+            Step::Join { left, right, .. } => {
+                left.for_each_leaf(f);
+                right.for_each_leaf(f);
+            }
+            Step::Sort { input, .. } => input.for_each_leaf(f),
+        }
     }
 }
 
@@ -153,80 +214,89 @@ impl<'a> JoinContext<'a> {
         1u64 << r
     }
 
+    /// The relation global column `g` belongs to.
+    fn rel_of(&self, g: usize) -> usize {
+        self.graph
+            .offsets
+            .partition_point(|&o| o <= g)
+            .saturating_sub(1)
+    }
+
+    /// Global ordinal → position in `sp`'s output (`None` outside its
+    /// relations).
+    pub fn col_map(&self, sp: &SubPlan) -> Vec<Option<usize>> {
+        let mut map = vec![None; self.total_cols()];
+        let mut pos = 0;
+        sp.for_each_leaf(&mut |r| {
+            let offset = self.graph.offsets[r];
+            for slot in &mut map[offset..offset + self.graph.schemas[r].len()] {
+                *slot = Some(pos);
+                pos += 1;
+            }
+        });
+        map
+    }
+
+    /// How many global columns sit at their own ordinal in `sp`'s output.
+    fn fixed_points(&self, sp: &SubPlan) -> usize {
+        let (mut pos, mut fixed) = (0, 0);
+        sp.for_each_leaf(&mut |r| {
+            let ncols = self.graph.schemas[r].len();
+            if pos == self.graph.offsets[r] {
+                fixed += ncols;
+            }
+            pos += ncols;
+        });
+        fixed
+    }
+
     /// Leaf subplans for relation `r`, one per surviving access path.
     pub fn base_subplans(&self, r: usize) -> Vec<SubPlan> {
         let rel = &self.rels[r];
-        let offset = self.graph.offsets[r];
-        let schema = self.graph.schemas[r].clone();
-        let ncols = schema.len();
-        let total = self.total_cols();
-        let mut col_map = vec![None; total];
-        for i in 0..ncols {
-            col_map[offset + i] = Some(i);
-        }
+        let leaf = |path, rows, cost, order, method| SubPlan {
+            mask: Self::bit(r),
+            rows,
+            width: rel.width,
+            cost,
+            order,
+            method,
+            step: Step::Scan { rel: r, path },
+        };
         if let Some(plan) = &rel.opaque_plan {
-            return vec![SubPlan {
-                mask: Self::bit(r),
-                rows: plan.est_rows,
-                width: rel.width,
-                cost: plan.est_cost,
-                plan: plan.clone(),
-                col_map,
-                order: None,
-            }];
+            return vec![leaf(
+                None,
+                plan.est_rows,
+                plan.est_cost,
+                None,
+                plan.op_name(),
+            )];
         }
         // A non-opaque leaf always names a table; if that invariant ever
         // breaks, return no paths and let the caller surface the error.
-        let Some(table) = rel.table.clone() else {
+        if rel.table.is_none() {
             return Vec::new();
-        };
+        }
+        let offset = self.graph.offsets[r];
         rel.paths
             .iter()
-            .map(|p| {
-                let op = match &p.kind {
-                    PathKind::SeqScan { filter } => PhysOp::SeqScan {
-                        table: table.clone(),
-                        filter: filter.clone(),
-                    },
-                    PathKind::IndexScan {
-                        index,
-                        range,
-                        residual,
-                        clustered,
-                    } => PhysOp::IndexScan {
-                        table: table.clone(),
-                        index: index.clone(),
-                        range: range.clone(),
-                        residual: residual.clone(),
-                        clustered: *clustered,
-                    },
-                };
+            .enumerate()
+            .map(|(i, p)| {
                 let order = if self.track_orders {
                     p.order.map(|c| c + offset)
                 } else {
                     None
                 };
-                SubPlan {
-                    mask: Self::bit(r),
-                    plan: PhysicalPlan {
-                        op,
-                        schema: schema.clone(),
-                        est_rows: p.rows,
-                        est_cost: p.cost,
-                        output_order: order,
-                    },
-                    rows: p.rows,
-                    width: rel.width,
-                    cost: p.cost,
-                    col_map: col_map.clone(),
-                    order,
-                }
+                let method = match p.kind {
+                    PathKind::SeqScan { .. } => "SeqScan",
+                    PathKind::IndexScan { .. } => "IndexScan",
+                };
+                leaf(Some(i), p.rows, p.cost, order, method)
             })
             .collect()
     }
 
     /// The cheapest leaf subplan for `r` (by total cost).
-    pub fn cheapest_base(&self, r: usize) -> Result<SubPlan> {
+    pub fn cheapest_base(&self, r: usize) -> Result<Rc<SubPlan>> {
         self.base_subplans(r)
             .into_iter()
             .min_by(|a, b| {
@@ -234,118 +304,84 @@ impl<'a> JoinContext<'a> {
                     .total(a.cost)
                     .total_cmp(&self.model.total(b.cost))
             })
+            .map(Rc::new)
             .ok_or_else(|| EvoptError::Internal(format!("relation {r} has no access path")))
     }
 
     /// The sequential-scan leaf for `r` (the baseline's only choice).
-    pub fn seq_base(&self, r: usize) -> Result<SubPlan> {
+    pub fn seq_base(&self, r: usize) -> Result<Rc<SubPlan>> {
         self.base_subplans(r)
             .into_iter()
-            .find(|sp| {
-                matches!(sp.plan.op, PhysOp::SeqScan { .. }) || self.rels[r].opaque_plan.is_some()
-            })
+            .find(|sp| sp.method == "SeqScan" || self.rels[r].opaque_plan.is_some())
+            .map(Rc::new)
             .ok_or_else(|| EvoptError::Internal(format!("relation {r} has no seq-scan path")))
     }
 
-    /// Remap a global-ordinal expression into `col_map`-local ordinals.
-    fn remap(&self, e: &Expr, col_map: &[Option<usize>]) -> Result<Expr> {
-        e.try_remap_columns(&|g| col_map.get(g).copied().flatten())
-            .map_err(|_| {
-                EvoptError::Plan(format!(
-                    "predicate {e} references a column outside the joined subset"
-                ))
-            })
+    /// The first equi-join predicate usable as a physical key for
+    /// `left ⋈ right`, as (global left column, global right column).
+    fn join_key(
+        &self,
+        preds: &[&GraphPredicate],
+        left: RelMask,
+        right: RelMask,
+    ) -> Option<(usize, usize)> {
+        let holds = |mask: RelMask, g: usize| mask & Self::bit(self.rel_of(g)) != 0;
+        preds.iter().find_map(|p| {
+            let (a, b) = p.as_equi_join()?;
+            if holds(left, a) && holds(right, b) {
+                Some((a, b))
+            } else if holds(left, b) && holds(right, a) {
+                Some((b, a))
+            } else {
+                None
+            }
+        })
     }
 
-    /// All join methods applicable to `left ⋈ right`. Empty when the pair is
-    /// unconnected and `allow_cross` is false.
+    /// Extra cost of presenting `sp` ordered on global column `g`: zero
+    /// when it already is.
+    fn sort_cost(&self, sp: &SubPlan, g: usize) -> Cost {
+        if self.track_orders && sp.order == Some(g) {
+            Cost::ZERO
+        } else {
+            self.model.sort(sp.rows, sp.pages())
+        }
+    }
+
+    /// All join methods applicable to `left ⋈ right`, costed but not built.
+    /// Empty when the pair is unconnected and `allow_cross` is false.
     pub fn join_candidates(
         &self,
-        left: &SubPlan,
-        right: &SubPlan,
+        left: &Rc<SubPlan>,
+        right: &Rc<SubPlan>,
         allow_cross: bool,
-    ) -> Result<Vec<SubPlan>> {
+    ) -> Vec<SubPlan> {
         debug_assert_eq!(left.mask & right.mask, 0, "overlapping subplans");
         let preds = self.graph.join_predicates(left.mask, right.mask);
         if preds.is_empty() && !allow_cross {
-            return Ok(vec![]);
+            return vec![];
         }
         let sel: f64 = preds
             .iter()
             .map(|p| self.est.selectivity(&p.expr))
             .product();
-        let out_rows = (left.rows * right.rows * sel).max(1e-6);
-        let out_width = left.width + right.width;
+        let rows = (left.rows * right.rows * sel).max(1e-6);
+        let width = left.width + right.width;
         let mask = left.mask | right.mask;
-        let left_cols = left.plan.schema.len();
-        // Combined global→local map.
-        let mut col_map = vec![None; self.total_cols()];
-        for (g, pos) in left.col_map.iter().enumerate() {
-            col_map[g] = *pos;
-        }
-        for (g, pos) in right.col_map.iter().enumerate() {
-            if let Some(p) = pos {
-                col_map[g] = Some(left_cols + p);
-            }
-        }
-        let schema = left.plan.schema.join(&right.plan.schema);
-
-        // Pick the first usable equi-join predicate as the physical key.
-        let mut key: Option<(usize, usize)> = None; // (global left col, global right col)
-        for p in &preds {
-            if let Some((a, b)) = p.as_equi_join() {
-                if left.col_map[a].is_some() && right.col_map[b].is_some() {
-                    key = Some((a, b));
-                    break;
-                }
-                if left.col_map[b].is_some() && right.col_map[a].is_some() {
-                    key = Some((b, a));
-                    break;
-                }
-            }
-        }
-
-        let all_pred: Option<Expr> = if preds.is_empty() {
-            None
-        } else {
-            Some(self.remap(
-                &Expr::conjunction(preds.iter().map(|p| p.expr.clone()).collect()),
-                &col_map,
-            )?)
-        };
-        // Residual = every predicate except the keyed equi-join.
-        let residual: Option<Expr> = {
-            let rest: Vec<Expr> = preds
-                .iter()
-                .filter(|p| match (key, p.as_equi_join()) {
-                    (Some((a, b)), Some((x, y))) => !(x == a.min(b) && y == a.max(b)),
-                    _ => true,
-                })
-                .map(|p| p.expr.clone())
-                .collect();
-            if rest.is_empty() {
-                None
-            } else {
-                Some(self.remap(&Expr::conjunction(rest), &col_map)?)
-            }
-        };
-
-        let mut out = Vec::new();
-        let mk = |op: PhysOp, cost: Cost, order: Option<usize>| SubPlan {
+        let mk = |method: JoinMethod, cost: Cost, order: Option<usize>| SubPlan {
             mask,
-            plan: PhysicalPlan {
-                op,
-                schema: schema.clone(),
-                est_rows: out_rows,
-                est_cost: cost,
-                output_order: if self.track_orders { order } else { None },
-            },
-            rows: out_rows,
-            width: out_width,
+            rows,
+            width,
             cost,
-            col_map: col_map.clone(),
             order: if self.track_orders { order } else { None },
+            method: method.name(),
+            step: Step::Join {
+                method,
+                left: Rc::clone(left),
+                right: Rc::clone(right),
+            },
         };
+        let mut out = Vec::new();
 
         // Block nested loops: always applicable. Does NOT preserve the
         // outer order (the executor loops inner-tuple-over-block).
@@ -354,95 +390,44 @@ impl<'a> JoinContext<'a> {
             + self
                 .model
                 .bnl_join(left.rows, left.pages(), right.rows, right.pages());
-        out.push(mk(
-            PhysOp::BlockNestedLoopJoin {
-                left: Box::new(left.plan.clone()),
-                right: Box::new(right.plan.clone()),
-                predicate: all_pred.clone(),
-                block_pages: self.model.buffer_pages,
-            },
-            bnl_cost,
-            None,
-        ));
+        out.push(mk(JoinMethod::BlockNestedLoop, bnl_cost, None));
 
         // Tuple nested loops: right side re-run per outer row; only offered
         // when the right side is a single relation (re-running a deep tree
         // is never competitive and bloats the search).
         if right.mask.count_ones() == 1 {
             let nl_cost = left.cost + self.model.nl_join(left.rows, right.cost, right.rows);
-            out.push(mk(
-                PhysOp::NestedLoopJoin {
-                    left: Box::new(left.plan.clone()),
-                    right: Box::new(right.plan.clone()),
-                    predicate: all_pred.clone(),
-                },
-                nl_cost,
-                left.order,
-            ));
+            out.push(mk(JoinMethod::NestedLoop, nl_cost, left.order));
         }
 
-        if let Some((ga, gb)) = key {
-            let missing_key =
-                |side: &str| EvoptError::Internal(format!("join key missing from {side} col_map"));
-            let lk = left
-                .col_map
-                .get(ga)
-                .copied()
-                .flatten()
-                .ok_or_else(|| missing_key("left"))?;
-            let rk = right
-                .col_map
-                .get(gb)
-                .copied()
-                .flatten()
-                .ok_or_else(|| missing_key("right"))?;
-
+        if let Some((ga, gb)) = self.join_key(&preds, left.mask, right.mask) {
             // Hash join (build right, probe left; probe order preserved).
             let hj_cost = left.cost
                 + right.cost
                 + self
                     .model
                     .hash_join(left.rows, left.pages(), right.rows, right.pages());
-            out.push(mk(
-                PhysOp::HashJoin {
-                    left: Box::new(left.plan.clone()),
-                    right: Box::new(right.plan.clone()),
-                    left_key: lk,
-                    right_key: rk,
-                    residual: residual.clone(),
-                },
-                hj_cost,
-                left.order,
-            ));
+            out.push(mk(JoinMethod::Hash, hj_cost, left.order));
 
             // Sort-merge join: sort whichever inputs aren't already ordered.
-            let (lplan, lsort) = self.sorted_input(left, ga)?;
-            let (rplan, rsort) = self.sorted_input(right, gb)?;
             let smj_cost = left.cost
                 + right.cost
-                + lsort
-                + rsort
+                + self.sort_cost(left, ga)
+                + self.sort_cost(right, gb)
                 + self.model.merge_join(left.rows, right.rows);
-            out.push(mk(
-                PhysOp::SortMergeJoin {
-                    left: Box::new(lplan),
-                    right: Box::new(rplan),
-                    left_key: lk,
-                    right_key: rk,
-                    residual: residual.clone(),
-                },
-                smj_cost,
-                Some(ga),
-            ));
+            out.push(mk(JoinMethod::SortMerge, smj_cost, Some(ga)));
 
             // Index nested loops: right must be one base relation with an
             // index on the join column.
             if right.mask.count_ones() == 1 {
                 let r_idx = right.mask.trailing_zeros() as usize;
                 let rel = &self.rels[r_idx];
-                if let Some(table) = &rel.table {
+                if rel.table.is_some() {
                     let local_col = gb - self.graph.offsets[r_idx];
-                    for idx in rel.indexes.iter().filter(|i| i.column == local_col) {
+                    for (index, idx) in rel.indexes.iter().enumerate() {
+                        if idx.column != local_col {
+                            continue;
+                        }
                         let probe_sel = self.est.join_eq_selectivity(ga, gb);
                         let matches_per_probe = rel.rows_raw * probe_sel;
                         let inl_cost = left.cost
@@ -454,27 +439,8 @@ impl<'a> JoinContext<'a> {
                                 rel.pages_raw,
                                 rel.rows_raw,
                             );
-                        // Residual: non-key join predicates + the inner's
-                        // local predicates (the probe bypasses access paths).
-                        let mut resid = preds
-                            .iter()
-                            .filter(|p| p.as_equi_join() != Some((ga.min(gb), ga.max(gb))))
-                            .map(|p| p.expr.clone())
-                            .collect::<Vec<_>>();
-                        resid.extend(rel.local_preds_global.iter().cloned());
-                        let resid = if resid.is_empty() {
-                            None
-                        } else {
-                            Some(self.remap(&Expr::conjunction(resid), &col_map)?)
-                        };
                         out.push(mk(
-                            PhysOp::IndexNestedLoopJoin {
-                                outer: Box::new(left.plan.clone()),
-                                inner_table: table.clone(),
-                                index: idx.name.clone(),
-                                outer_key: lk,
-                                residual: resid,
-                            },
+                            JoinMethod::IndexNestedLoop { index },
                             inl_cost,
                             left.order,
                         ));
@@ -482,60 +448,23 @@ impl<'a> JoinContext<'a> {
                 }
             }
         }
-        Ok(out)
-    }
-
-    /// Local ordinal of global column `g` in `sp`, or a structured error.
-    fn local_key(sp: &SubPlan, g: usize) -> Result<usize> {
-        sp.col_map.get(g).copied().flatten().ok_or_else(|| {
-            EvoptError::Internal(format!("sort key column {g} missing from col_map"))
-        })
-    }
-
-    /// `(plan, extra sort cost)` for using `sp` as a merge-join input keyed
-    /// on global column `g`.
-    fn sorted_input(&self, sp: &SubPlan, g: usize) -> Result<(PhysicalPlan, Cost)> {
-        if self.track_orders && sp.order == Some(g) {
-            return Ok((sp.plan.clone(), Cost::ZERO));
-        }
-        let local = Self::local_key(sp, g)?;
-        let sort_cost = self.model.sort(sp.rows, sp.pages());
-        let plan = PhysicalPlan {
-            schema: sp.plan.schema.clone(),
-            est_rows: sp.rows,
-            est_cost: sp.cost + sort_cost,
-            output_order: Some(g),
-            op: PhysOp::Sort {
-                input: Box::new(sp.plan.clone()),
-                keys: vec![(local, true)],
-            },
-        };
-        Ok((plan, sort_cost))
+        out
     }
 
     /// Wrap `sp` in an explicit sort on global column `g`.
-    pub fn enforce_order(&self, sp: &SubPlan, g: usize) -> Result<SubPlan> {
-        let local = Self::local_key(sp, g)?;
-        let sort_cost = self.model.sort(sp.rows, sp.pages());
-        let plan = PhysicalPlan {
-            schema: sp.plan.schema.clone(),
-            est_rows: sp.rows,
-            est_cost: sp.cost + sort_cost,
-            output_order: Some(g),
-            op: PhysOp::Sort {
-                input: Box::new(sp.plan.clone()),
-                keys: vec![(local, true)],
-            },
-        };
-        Ok(SubPlan {
+    pub fn enforce_order(&self, sp: &Rc<SubPlan>, g: usize) -> SubPlan {
+        SubPlan {
             mask: sp.mask,
-            plan,
             rows: sp.rows,
             width: sp.width,
-            cost: sp.cost + sort_cost,
-            col_map: sp.col_map.clone(),
+            cost: sp.cost + self.model.sort(sp.rows, sp.pages()),
             order: Some(g),
-        })
+            method: "Sort",
+            step: Step::Sort {
+                input: Rc::clone(sp),
+                key: g,
+            },
+        }
     }
 
     /// From complete candidates, pick the best given the required order:
@@ -543,24 +472,20 @@ impl<'a> JoinContext<'a> {
     /// comparison also charges the column-order-restoring projection that
     /// `finalize` will add for non-identity outputs, so the enumeration
     /// objective matches the cost of the plan actually returned.
-    pub fn pick_final(&self, candidates: Vec<SubPlan>) -> Result<SubPlan> {
-        if candidates.is_empty() {
-            return Err(EvoptError::Plan("enumeration produced no plan".into()));
-        }
+    pub fn pick_final(&self, candidates: Vec<Rc<SubPlan>>) -> Result<Rc<SubPlan>> {
         let total = self.total_cols();
         let effective = |sp: &SubPlan| {
-            let identity = (0..total).all(|g| sp.col_map[g] == Some(g));
-            let restore = if identity {
+            let restore = if self.fixed_points(sp) == total {
                 Cost::ZERO
             } else {
                 self.model.per_tuple(sp.rows)
             };
             self.model.total(sp.cost + restore)
         };
-        let mut best: Option<SubPlan> = None;
+        let mut best: Option<Rc<SubPlan>> = None;
         for sp in candidates {
             let sp = match self.required_order {
-                Some(g) if sp.order != Some(g) => self.enforce_order(&sp, g)?,
+                Some(g) if sp.order != Some(g) => Rc::new(self.enforce_order(&sp, g)),
                 _ => sp,
             };
             let replace = match &best {
@@ -579,6 +504,226 @@ impl<'a> JoinContext<'a> {
         self.graph.connected(left, right)
     }
 
+    // -- materialization ------------------------------------------------------
+    //
+    // The search above never builds a plan. `materialize` builds the one the
+    // search picked, making the same choices `join_candidates` costed: the
+    // same join key, the same residuals, the same sorts.
+
+    /// Build the physical plan `sp` describes. Every node carries the
+    /// descriptor's estimates, so the plan's costs are the search's costs.
+    pub fn materialize(&self, sp: &SubPlan) -> Result<PhysicalPlan> {
+        match &sp.step {
+            Step::Scan { rel, path } => self.scan_plan(sp, *rel, *path),
+            Step::Sort { input, key } => {
+                let child = self.materialize(input)?;
+                self.sort_plan(input, child, *key, sp.cost)
+            }
+            Step::Join {
+                method,
+                left,
+                right,
+            } => self.join_plan(sp, *method, left, right),
+        }
+    }
+
+    fn scan_plan(&self, sp: &SubPlan, r: usize, path: Option<usize>) -> Result<PhysicalPlan> {
+        let rel = &self.rels[r];
+        let missing = || EvoptError::Internal(format!("relation {r} has no such access path"));
+        let Some(path) = path else {
+            return rel.opaque_plan.clone().ok_or_else(missing);
+        };
+        let (Some(table), Some(p)) = (&rel.table, rel.paths.get(path)) else {
+            return Err(missing());
+        };
+        let op = match &p.kind {
+            PathKind::SeqScan { filter } => PhysOp::SeqScan {
+                table: table.clone(),
+                filter: filter.clone(),
+            },
+            PathKind::IndexScan {
+                index,
+                range,
+                residual,
+                clustered,
+            } => PhysOp::IndexScan {
+                table: table.clone(),
+                index: index.clone(),
+                range: range.clone(),
+                residual: residual.clone(),
+                clustered: *clustered,
+            },
+        };
+        Ok(PhysicalPlan {
+            op,
+            schema: self.graph.schemas[r].clone(),
+            est_rows: sp.rows,
+            est_cost: sp.cost,
+            output_order: sp.order,
+        })
+    }
+
+    /// Position of global column `g` in `sp`'s output.
+    fn local_col(&self, sp: &SubPlan, g: usize) -> Result<usize> {
+        self.col_map(sp).get(g).copied().flatten().ok_or_else(|| {
+            EvoptError::Internal(format!("column {g} missing from the subplan's col_map"))
+        })
+    }
+
+    /// `child` (the plan of `input`) sorted on global column `g`, costing
+    /// `est_cost` in total.
+    fn sort_plan(
+        &self,
+        input: &SubPlan,
+        child: PhysicalPlan,
+        g: usize,
+        est_cost: Cost,
+    ) -> Result<PhysicalPlan> {
+        Ok(PhysicalPlan {
+            schema: child.schema.clone(),
+            est_rows: input.rows,
+            est_cost,
+            output_order: Some(g),
+            op: PhysOp::Sort {
+                keys: vec![(self.local_col(input, g)?, true)],
+                input: Box::new(child),
+            },
+        })
+    }
+
+    /// The plan of `sp` as a merge-join input keyed on global column `g`.
+    fn sorted_input(&self, sp: &SubPlan, g: usize) -> Result<PhysicalPlan> {
+        let plan = self.materialize(sp)?;
+        if self.track_orders && sp.order == Some(g) {
+            return Ok(plan);
+        }
+        let est_cost = sp.cost + self.model.sort(sp.rows, sp.pages());
+        self.sort_plan(sp, plan, g, est_cost)
+    }
+
+    /// The conjunction of `exprs` in `col_map`-local ordinals, if any.
+    fn conjunction(&self, exprs: Vec<Expr>, col_map: &[Option<usize>]) -> Result<Option<Expr>> {
+        if exprs.is_empty() {
+            return Ok(None);
+        }
+        let e = Expr::conjunction(exprs);
+        e.try_remap_columns(&|g| col_map.get(g).copied().flatten())
+            .map(Some)
+            .map_err(|_| {
+                EvoptError::Plan(format!(
+                    "predicate {e} references a column outside the joined subset"
+                ))
+            })
+    }
+
+    /// Output schema of `sp`: its leaves' columns in output order.
+    fn schema(&self, sp: &SubPlan) -> Schema {
+        let mut columns = Vec::new();
+        sp.for_each_leaf(&mut |r| {
+            let leaf = match &self.rels[r].opaque_plan {
+                Some(plan) => &plan.schema,
+                None => &self.graph.schemas[r],
+            };
+            columns.extend_from_slice(leaf.columns());
+        });
+        Schema::new(columns)
+    }
+
+    /// The physical key of `left ⋈ right` and the predicates left over.
+    fn keyed(&self, preds: &[&GraphPredicate], left: &SubPlan, right: &SubPlan) -> Result<Keyed> {
+        let (ga, gb) = self
+            .join_key(preds, left.mask, right.mask)
+            .ok_or_else(|| EvoptError::Internal("keyed join without an equi-join key".into()))?;
+        let residual = preds
+            .iter()
+            .filter(|p| p.as_equi_join() != Some((ga.min(gb), ga.max(gb))))
+            .map(|p| p.expr.clone())
+            .collect();
+        Ok(Keyed {
+            global: (ga, gb),
+            local: (self.local_col(left, ga)?, self.local_col(right, gb)?),
+            residual,
+        })
+    }
+
+    fn join_plan(
+        &self,
+        sp: &SubPlan,
+        method: JoinMethod,
+        left: &SubPlan,
+        right: &SubPlan,
+    ) -> Result<PhysicalPlan> {
+        let preds = self.graph.join_predicates(left.mask, right.mask);
+        let col_map = self.col_map(sp);
+        let all_preds =
+            || self.conjunction(preds.iter().map(|p| p.expr.clone()).collect(), &col_map);
+        let built = |input: &SubPlan| self.materialize(input).map(Box::new);
+        let op = match method {
+            JoinMethod::BlockNestedLoop => PhysOp::BlockNestedLoopJoin {
+                left: built(left)?,
+                right: built(right)?,
+                predicate: all_preds()?,
+                block_pages: self.model.buffer_pages,
+            },
+            JoinMethod::NestedLoop => PhysOp::NestedLoopJoin {
+                left: built(left)?,
+                right: built(right)?,
+                predicate: all_preds()?,
+            },
+            JoinMethod::Hash => {
+                let k = self.keyed(&preds, left, right)?;
+                PhysOp::HashJoin {
+                    left: built(left)?,
+                    right: built(right)?,
+                    left_key: k.local.0,
+                    right_key: k.local.1,
+                    residual: self.conjunction(k.residual, &col_map)?,
+                }
+            }
+            JoinMethod::SortMerge => {
+                let k = self.keyed(&preds, left, right)?;
+                PhysOp::SortMergeJoin {
+                    left: Box::new(self.sorted_input(left, k.global.0)?),
+                    right: Box::new(self.sorted_input(right, k.global.1)?),
+                    left_key: k.local.0,
+                    right_key: k.local.1,
+                    residual: self.conjunction(k.residual, &col_map)?,
+                }
+            }
+            JoinMethod::IndexNestedLoop { index } => {
+                let Keyed {
+                    local: (outer_key, _),
+                    mut residual,
+                    ..
+                } = self.keyed(&preds, left, right)?;
+                let r = right.mask.trailing_zeros() as usize;
+                let rel = &self.rels[r];
+                let (Some(table), Some(idx)) = (&rel.table, rel.indexes.get(index)) else {
+                    return Err(EvoptError::Internal(format!(
+                        "relation {r} has no index {index} to probe"
+                    )));
+                };
+                // The probe bypasses access paths, so the inner's local
+                // predicates join the residual.
+                residual.extend(rel.local_preds_global.iter().cloned());
+                PhysOp::IndexNestedLoopJoin {
+                    outer: built(left)?,
+                    inner_table: table.clone(),
+                    index: idx.name.clone(),
+                    outer_key,
+                    residual: self.conjunction(residual, &col_map)?,
+                }
+            }
+        };
+        Ok(PhysicalPlan {
+            op,
+            schema: self.schema(sp),
+            est_rows: sp.rows,
+            est_cost: sp.cost,
+            output_order: sp.order,
+        })
+    }
+
     // -- search-trace recording ---------------------------------------------
     //
     // The DP invariant `considered == pruned + retained` (retained = final
@@ -591,9 +736,9 @@ impl<'a> JoinContext<'a> {
     /// candidate and for whichever plan the dominance test kills.
     /// Returns whether `sp` entered the table.
     pub fn admit(&self, table: &mut PlanTable, sp: SubPlan) -> bool {
-        let (mask, method, order) = (sp.mask, sp.plan.op_name(), sp.order);
+        let (mask, method, order) = (sp.mask, sp.method, sp.order);
         self.trace_consider(&sp);
-        match table.admit(sp, self.model) {
+        match table.admit(sp, self) {
             Admission::New => {
                 if let (Some(t), Some(o)) = (self.trace, order) {
                     t.order_kept(mask, method, o);
@@ -602,7 +747,7 @@ impl<'a> JoinContext<'a> {
             }
             Admission::Replaced(old) => {
                 if let Some(t) = self.trace {
-                    t.prune(old.mask, old.plan.op_name(), PruneReason::Superseded);
+                    t.prune(old.mask, old.method, PruneReason::Superseded);
                     if let Some(o) = order {
                         t.order_kept(mask, method, o);
                     }
@@ -621,7 +766,7 @@ impl<'a> JoinContext<'a> {
         if let Some(t) = self.trace {
             t.consider(
                 sp.mask,
-                sp.plan.op_name(),
+                sp.method,
                 sp.cost.io,
                 sp.cost.cpu,
                 sp.rows,
@@ -633,7 +778,7 @@ impl<'a> JoinContext<'a> {
     /// Record a plan leaving the search.
     pub fn trace_prune(&self, sp: &SubPlan, reason: PruneReason) {
         if let Some(t) = self.trace {
-            t.prune(sp.mask, sp.plan.op_name(), reason);
+            t.prune(sp.mask, sp.method, reason);
         }
     }
 
@@ -652,23 +797,34 @@ impl<'a> JoinContext<'a> {
     }
 }
 
+/// The physical key of a keyed join and the predicates it leaves over.
+struct Keyed {
+    /// Global key column of each input.
+    global: (usize, usize),
+    /// The key's position in each input's output.
+    local: (usize, usize),
+    /// Every join predicate but the key, checked on the joined row.
+    residual: Vec<Expr>,
+}
+
 /// Outcome of one [`PlanTable::admit`] call.
 pub enum Admission {
     /// Inserted; no incumbent existed for its (mask, order) class.
     New,
     /// Inserted; the returned incumbent was evicted.
-    Replaced(Box<SubPlan>),
+    Replaced(Rc<SubPlan>),
     /// Rejected; the incumbent dominates. The candidate comes back so the
     /// caller can trace (or reuse) it.
-    Dominated(Box<SubPlan>),
+    Dominated(SubPlan),
 }
 
-/// Dominance table keyed by `(mask, order)`; admits a plan only if it beats
-/// the incumbent. BTreeMap (not HashMap) so iteration — and therefore tie
-/// resolution between equal-cost plans — is deterministic run to run.
+/// The memo: one descriptor per `(mask, order)` class, admitted only if it
+/// beats the incumbent. BTreeMap (not HashMap) so iteration — and therefore
+/// tie resolution between equal-cost plans — is deterministic run to run,
+/// and one mask's classes are a contiguous range.
 #[derive(Default)]
 pub struct PlanTable {
-    plans: BTreeMap<(RelMask, Option<usize>), SubPlan>,
+    plans: BTreeMap<(RelMask, Option<usize>), Rc<SubPlan>>,
 }
 
 impl PlanTable {
@@ -679,51 +835,38 @@ impl PlanTable {
     /// Insert if cheaper than the incumbent for the same (mask, order).
     /// Exact cost ties go to the plan whose column map is closer to the
     /// identity — mirror-image join trees often tie, and the identity-closer
-    /// one avoids the final column-restoring projection.
+    /// one avoids the final column-restoring projection. The column maps
+    /// are walked only when costs tie.
     ///
     /// The returned [`Admission`] says which plan (if any) the dominance
     /// test killed, so callers can trace the search.
-    pub fn admit(&mut self, sp: SubPlan, model: &CostModel) -> Admission {
-        let fixed_points = |p: &SubPlan| {
-            p.col_map
-                .iter()
-                .enumerate()
-                .filter(|(g, m)| **m == Some(*g))
-                .count()
-        };
+    pub fn admit(&mut self, sp: SubPlan, ctx: &JoinContext) -> Admission {
         let key = (sp.mask, sp.order);
         match self.plans.get(&key) {
             Some(cur) => {
-                let (a, b) = (model.total(sp.cost), model.total(cur.cost));
-                if a < b || (a == b && fixed_points(&sp) > fixed_points(cur)) {
-                    match self.plans.insert(key, sp) {
-                        Some(old) => Admission::Replaced(Box::new(old)),
+                let (a, b) = (ctx.model.total(sp.cost), ctx.model.total(cur.cost));
+                if a < b || (a == b && ctx.fixed_points(&sp) > ctx.fixed_points(cur)) {
+                    match self.plans.insert(key, Rc::new(sp)) {
+                        Some(old) => Admission::Replaced(old),
                         None => Admission::New,
                     }
                 } else {
-                    Admission::Dominated(Box::new(sp))
+                    Admission::Dominated(sp)
                 }
             }
             None => {
-                self.plans.insert(key, sp);
+                self.plans.insert(key, Rc::new(sp));
                 Admission::New
             }
         }
     }
 
-    /// All retained plans for `mask`.
-    pub fn plans_for(&self, mask: RelMask) -> Vec<&SubPlan> {
+    /// All retained plans for `mask`, in order-class order.
+    pub fn plans_for(&self, mask: RelMask) -> Vec<Rc<SubPlan>> {
         self.plans
-            .iter()
-            .filter(|((m, _), _)| *m == mask)
-            .map(|(_, p)| p)
+            .range((mask, None)..=(mask, Some(usize::MAX)))
+            .map(|(_, p)| Rc::clone(p))
             .collect()
-    }
-
-    /// All retained plans for `mask`, cloned (for mutation-during-iteration
-    /// call sites).
-    pub fn plans_for_cloned(&self, mask: RelMask) -> Vec<SubPlan> {
-        self.plans_for(mask).into_iter().cloned().collect()
     }
 
     pub fn len(&self) -> usize {
@@ -735,8 +878,9 @@ impl PlanTable {
     }
 }
 
-/// Run the chosen strategy.
-pub fn enumerate(ctx: &JoinContext, strategy: Strategy) -> Result<SubPlan> {
+/// Run the chosen strategy; the winner is a descriptor, built by
+/// [`JoinContext::materialize`].
+pub fn enumerate(ctx: &JoinContext, strategy: Strategy) -> Result<Rc<SubPlan>> {
     let started = Instant::now();
     let result = match strategy {
         Strategy::SystemR => dp_sysr::run(ctx),
@@ -974,9 +1118,10 @@ mod tests {
         assert!(!t.is_empty());
         let sp = &t[0];
         assert_eq!(sp.mask, 0b010);
-        assert_eq!(sp.col_map[2], Some(0));
-        assert_eq!(sp.col_map[3], Some(1));
-        assert_eq!(sp.col_map[0], None);
+        let col_map = ctx.col_map(sp);
+        assert_eq!(col_map[2], Some(0));
+        assert_eq!(col_map[3], Some(1));
+        assert_eq!(col_map[0], None);
     }
 
     #[test]
@@ -985,8 +1130,8 @@ mod tests {
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
         let u = ctx.cheapest_base(1).unwrap();
-        let cands = ctx.join_candidates(&t, &u, false).unwrap();
-        let names: Vec<_> = cands.iter().map(|c| c.plan.op_name()).collect();
+        let cands = ctx.join_candidates(&t, &u, false);
+        let names: Vec<_> = cands.iter().map(|c| c.method).collect();
         assert!(names.contains(&"BlockNestedLoopJoin"));
         assert!(names.contains(&"NestedLoopJoin"));
         assert!(names.contains(&"HashJoin"));
@@ -1005,6 +1150,29 @@ mod tests {
     }
 
     #[test]
+    fn materialized_candidates_carry_the_descriptor() {
+        // Every method's plan is the one its descriptor costed: same root
+        // operator, same estimates, same order, columns left then right.
+        let s = star4();
+        let ctx = s.ctx();
+        let fact = ctx.cheapest_base(0).unwrap();
+        let d3 = ctx.cheapest_base(3).unwrap();
+        let cands = ctx.join_candidates(&fact, &d3, false);
+        assert_eq!(cands.len(), 5, "every method applies to f ⋈ d3");
+        for c in &cands {
+            let plan = ctx.materialize(c).unwrap();
+            assert_eq!(plan.op_name(), c.method);
+            assert_eq!(plan.est_cost, c.cost);
+            assert_eq!(plan.est_rows.to_bits(), c.rows.to_bits());
+            assert_eq!(plan.output_order, c.order);
+            assert_eq!(plan.schema.len(), 4);
+        }
+        let col_map = ctx.col_map(&cands[0]);
+        assert_eq!(&col_map[0..2], &[Some(0), Some(1)]);
+        assert_eq!(&col_map[6..8], &[Some(2), Some(3)]);
+    }
+
+    #[test]
     fn inl_offered_against_indexed_inner() {
         let f = chain3();
         let ctx = f.ctx();
@@ -1012,22 +1180,18 @@ mod tests {
         // is NOT on the join column, so still no INL).
         let u = ctx.cheapest_base(1).unwrap();
         let v = ctx.cheapest_base(2).unwrap();
-        let cands = ctx.join_candidates(&u, &v, false).unwrap();
-        assert!(!cands
-            .iter()
-            .any(|c| c.plan.op_name() == "IndexNestedLoopJoin"));
+        let cands = ctx.join_candidates(&u, &v, false);
+        assert!(!cands.iter().any(|c| c.method == "IndexNestedLoopJoin"));
         // Star fixture: f.c0 = d3.c0 and d3 has an index on c0 → INL exists.
         let s = star4();
         let sctx = s.ctx();
         let fact = sctx.cheapest_base(0).unwrap();
         let d3 = sctx.cheapest_base(3).unwrap();
-        let cands = sctx.join_candidates(&fact, &d3, false).unwrap();
+        let cands = sctx.join_candidates(&fact, &d3, false);
         assert!(
-            cands
-                .iter()
-                .any(|c| c.plan.op_name() == "IndexNestedLoopJoin"),
+            cands.iter().any(|c| c.method == "IndexNestedLoopJoin"),
             "methods: {:?}",
-            cands.iter().map(|c| c.plan.op_name()).collect::<Vec<_>>()
+            cands.iter().map(|c| c.method).collect::<Vec<_>>()
         );
     }
 
@@ -1037,8 +1201,8 @@ mod tests {
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
         let v = ctx.cheapest_base(2).unwrap();
-        assert!(ctx.join_candidates(&t, &v, false).unwrap().is_empty());
-        let crossed = ctx.join_candidates(&t, &v, true).unwrap();
+        assert!(ctx.join_candidates(&t, &v, false).is_empty());
+        let crossed = ctx.join_candidates(&t, &v, true);
         assert!(!crossed.is_empty());
         // Cross product cardinality.
         assert!((crossed[0].rows - 1_000.0 * 100_000.0).abs() < 1.0);
@@ -1050,18 +1214,28 @@ mod tests {
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
         let u = ctx.cheapest_base(1).unwrap();
-        let cands = ctx.join_candidates(&t, &u, false).unwrap();
-        let smj = cands
-            .iter()
-            .find(|c| c.plan.op_name() == "SortMergeJoin")
-            .unwrap();
+        let cands = ctx.join_candidates(&t, &u, false);
+        let smj = cands.iter().find(|c| c.method == "SortMergeJoin").unwrap();
         // Key is t.c0 (global 0).
         assert_eq!(smj.order, Some(0));
         // Both inputs unsorted → two Sort children.
-        match &smj.plan.op {
+        match &ctx.materialize(smj).unwrap().op {
             PhysOp::SortMergeJoin { left, right, .. } => {
                 assert_eq!(left.op_name(), "Sort");
                 assert_eq!(right.op_name(), "Sort");
+            }
+            _ => unreachable!(),
+        }
+        // An input already ordered on its key is merged without a sort.
+        let sorted_t = Rc::new(ctx.enforce_order(&t, 0));
+        let cands = ctx.join_candidates(&sorted_t, &u, false);
+        let smj = cands.iter().find(|c| c.method == "SortMergeJoin").unwrap();
+        match &ctx.materialize(smj).unwrap().op {
+            PhysOp::SortMergeJoin { left, right, .. } => {
+                assert_eq!(left.op_name(), "Sort");
+                assert_eq!(left.output_order, Some(0));
+                assert_eq!(right.op_name(), "Sort");
+                assert_eq!(left.children()[0].op_name(), "SeqScan");
             }
             _ => unreachable!(),
         }
@@ -1073,15 +1247,47 @@ mod tests {
         let ctx = f.ctx();
         let model = ctx.model;
         let mut table = PlanTable::new();
-        let cheap = ctx.cheapest_base(0).unwrap();
+        let cheap = (*ctx.cheapest_base(0).unwrap()).clone();
         let mut pricey = cheap.clone();
         pricey.cost = Cost::new(cheap.cost.io + 1000.0, cheap.cost.cpu);
-        table.admit(pricey.clone(), model);
-        table.admit(cheap.clone(), model);
-        table.admit(pricey, model);
+        table.admit(pricey.clone(), &ctx);
+        table.admit(cheap.clone(), &ctx);
+        table.admit(pricey, &ctx);
         let kept = table.plans_for(cheap.mask);
         assert_eq!(kept.len(), 1);
         assert_eq!(model.total(kept[0].cost), model.total(cheap.cost));
+    }
+
+    #[test]
+    fn plan_table_ties_go_to_the_identity_closer_plan() {
+        let f = chain3();
+        let ctx = f.ctx();
+        let t = ctx.cheapest_base(0).unwrap();
+        let u = ctx.cheapest_base(1).unwrap();
+        let pick = |l: &Rc<SubPlan>, r: &Rc<SubPlan>| {
+            let mut c = ctx
+                .join_candidates(l, r, false)
+                .into_iter()
+                .find(|c| c.method == "HashJoin")
+                .unwrap();
+            c.cost = Cost::new(1.0, 1.0);
+            c
+        };
+        let (mirrored, identity) = (pick(&u, &t), pick(&t, &u));
+        let mut table = PlanTable::new();
+        assert!(matches!(table.admit(mirrored, &ctx), Admission::New));
+        assert!(matches!(
+            table.admit(identity.clone(), &ctx),
+            Admission::Replaced(_)
+        ));
+        assert!(matches!(
+            table.admit(pick(&u, &t), &ctx),
+            Admission::Dominated(_)
+        ));
+        assert!(matches!(
+            table.admit(identity, &ctx),
+            Admission::Dominated(_)
+        ));
     }
 
     #[test]
@@ -1144,15 +1350,18 @@ mod tests {
             Strategy::Syntactic,
         ] {
             let f = star4();
-            let plain = enumerate(&f.ctx(), strategy).unwrap();
+            let plain_ctx = f.ctx();
+            let plain = enumerate(&plain_ctx, strategy).unwrap();
+            let plain = plain_ctx.materialize(&plain).unwrap();
             let sink = TraceSink::bounded(1024);
             let mut ctx = f.ctx();
             ctx.trace = Some(&sink);
             let traced = enumerate(&ctx, strategy).unwrap();
+            let traced = ctx.materialize(&traced).unwrap();
             drop(ctx);
             assert_eq!(
-                plain.plan.digest(),
-                traced.plan.digest(),
+                plain.digest(),
+                traced.digest(),
                 "{}: tracing changed the chosen plan",
                 strategy.name()
             );
@@ -1167,9 +1376,12 @@ mod tests {
         let f = chain3();
         let ctx = f.ctx();
         let t = ctx.cheapest_base(0).unwrap();
-        let sorted = ctx.enforce_order(&t, 1).unwrap();
+        let sorted = ctx.enforce_order(&t, 1);
         assert_eq!(sorted.order, Some(1));
-        assert_eq!(sorted.plan.op_name(), "Sort");
+        assert_eq!(sorted.method, "Sort");
+        let plan = ctx.materialize(&sorted).unwrap();
+        assert_eq!(plan.op_name(), "Sort");
+        assert_eq!(plan.children()[0].op_name(), t.method);
         assert!(ctx.model.total(sorted.cost) >= ctx.model.total(t.cost));
     }
 }

@@ -5,6 +5,8 @@
 //! "no optimization" and exhaustive search: quality improves with samples,
 //! never reaches DP reliably on hard graphs — exactly the F2 story.
 
+use std::rc::Rc;
+
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 use rand::rngs::StdRng;
@@ -13,7 +15,7 @@ use rand::SeedableRng;
 
 use super::{JoinContext, SubPlan};
 
-pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
+pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<Rc<SubPlan>> {
     if samples == 0 {
         return Err(EvoptError::Plan(
             "QuickPick needs at least one sample".into(),
@@ -21,18 +23,17 @@ pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
     }
     let n = ctx.rels.len();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut finals: Vec<SubPlan> = Vec::with_capacity(samples);
+    let mut finals: Vec<Rc<SubPlan>> = Vec::with_capacity(samples);
 
     for _ in 0..samples {
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
         let mut current = ctx.cheapest_base(order[0])?;
         for &r in &order[1..] {
-            let connected = ctx.is_connected(current.mask, 1u64 << r);
             let mut best: Option<SubPlan> = None;
             for base in ctx.base_subplans(r) {
                 // Random orders may force cross products; always allowed.
-                for cand in ctx.join_candidates(&current, &base, true)? {
+                for cand in ctx.join_candidates(&current, &Rc::new(base), true) {
                     ctx.trace_consider(&cand);
                     let better = match &best {
                         None => true,
@@ -48,8 +49,7 @@ pub fn run(ctx: &JoinContext, samples: usize, seed: u64) -> Result<SubPlan> {
                     }
                 }
             }
-            let _ = connected;
-            current = best.ok_or_else(|| {
+            current = best.map(Rc::new).ok_or_else(|| {
                 EvoptError::Internal(
                     "quickpick: no join candidate (cross join should be a fallback)".into(),
                 )
@@ -87,7 +87,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ctx.model.total(a.cost), ctx.model.total(b.cost));
-        assert_eq!(a.plan.scan_order(), b.plan.scan_order());
+        assert_eq!(
+            ctx.materialize(&a).unwrap().scan_order(),
+            ctx.materialize(&b).unwrap().scan_order()
+        );
     }
 
     #[test]

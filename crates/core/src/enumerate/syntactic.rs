@@ -5,29 +5,31 @@
 //! FROM clause left to right, scan every relation sequentially, nested-loop
 //! every join. Every T1 speedup factor is measured against this plan.
 
+use std::rc::Rc;
+
 use evopt_common::{EvoptError, Result};
 use evopt_obs::PruneReason;
 
-use super::{JoinContext, SubPlan};
-use crate::physical::PhysOp;
+use super::{JoinContext, JoinMethod, SubPlan};
 
-pub fn run(ctx: &JoinContext) -> Result<SubPlan> {
+pub fn run(ctx: &JoinContext) -> Result<Rc<SubPlan>> {
     let n = ctx.rels.len();
     let mut current = ctx.seq_base(0)?;
     for r in 1..n {
         let right = ctx.seq_base(r)?;
-        let cands = ctx.join_candidates(&current, &right, true)?;
+        let cands = ctx.join_candidates(&current, &right, true);
         let mut chosen: Option<SubPlan> = None;
         for c in cands {
             ctx.trace_consider(&c);
-            if chosen.is_none() && matches!(c.plan.op, PhysOp::BlockNestedLoopJoin { .. }) {
+            if chosen.is_none() && c.method == JoinMethod::BlockNestedLoop.name() {
                 chosen = Some(c);
             } else {
                 ctx.trace_prune(&c, PruneReason::NotChosen);
             }
         }
-        current =
-            chosen.ok_or_else(|| EvoptError::Internal("BNL candidate always generated".into()))?;
+        current = chosen
+            .map(Rc::new)
+            .ok_or_else(|| EvoptError::Internal("BNL candidate always generated".into()))?;
     }
     ctx.pick_final(vec![current])
 }
@@ -40,10 +42,12 @@ mod tests {
     #[test]
     fn preserves_syntactic_order_and_uses_bnl_only() {
         let f = chain3();
-        let plan = enumerate(&f.ctx(), Strategy::Syntactic).unwrap();
-        assert_eq!(plan.plan.scan_order(), vec!["t", "u", "v"]);
+        let ctx = f.ctx();
+        let plan = ctx
+            .materialize(&enumerate(&ctx, Strategy::Syntactic).unwrap())
+            .unwrap();
+        assert_eq!(plan.scan_order(), vec!["t", "u", "v"]);
         assert!(plan
-            .plan
             .join_methods()
             .iter()
             .all(|m| *m == "BlockNestedLoopJoin"));

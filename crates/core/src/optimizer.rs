@@ -484,7 +484,7 @@ impl Optimizer {
             trace: self.trace.as_ref(),
         };
         let sub = enumerate(&ctx, self.config.strategy)?;
-        let phys = finalize(&ctx, sub, plan.schema())?;
+        let phys = finalize(&ctx, &sub, plan.schema())?;
         if self.verifying() {
             verify::verify_physical(&phys, Some(catalog), verify::VerifyPhase::PostEnumeration)
                 .into_result()?;
@@ -548,17 +548,20 @@ fn table_meta(info: &Arc<TableInfo>) -> Result<(RelMeta, EstimationContext)> {
     ))
 }
 
-/// Restore syntactic column order on top of an enumerated subplan so the
-/// join node's output matches the logical schema.
-fn finalize(ctx: &JoinContext, sub: SubPlan, logical_schema: Schema) -> Result<PhysicalPlan> {
+/// Build the enumeration's winner — the only physical plan the search
+/// produces — and restore syntactic column order on top of it so the join
+/// node's output matches the logical schema.
+fn finalize(ctx: &JoinContext, sub: &SubPlan, logical_schema: Schema) -> Result<PhysicalPlan> {
+    let plan = ctx.materialize(sub)?;
+    let col_map = ctx.col_map(sub);
     let total = ctx.total_cols();
-    let identity = (0..total).all(|g| sub.col_map.get(g).copied().flatten() == Some(g));
+    let identity = (0..total).all(|g| col_map.get(g).copied().flatten() == Some(g));
     if identity {
-        return Ok(sub.plan);
+        return Ok(plan);
     }
     let mut exprs: Vec<Expr> = Vec::with_capacity(total);
     for g in 0..total {
-        let local = sub.col_map.get(g).copied().flatten().ok_or_else(|| {
+        let local = col_map.get(g).copied().flatten().ok_or_else(|| {
             EvoptError::Internal(format!("finalize: output column {g} missing from col_map"))
         })?;
         exprs.push(Expr::Column(local));
@@ -570,7 +573,7 @@ fn finalize(ctx: &JoinContext, sub: SubPlan, logical_schema: Schema) -> Result<P
         est_cost: sub.cost + ctx.model.per_tuple(sub.rows),
         output_order,
         op: PhysOp::Project {
-            input: Box::new(sub.plan),
+            input: Box::new(plan),
             exprs,
         },
     })
